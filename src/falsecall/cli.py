@@ -27,13 +27,12 @@ from .dataset import (Dataset, SyntheticConfig, generate_synthetic, load_csv,
 from .errors import FalseCallError, IngestionError, InputError
 from .experiment import (EVAL_SETS, ExperimentConfig, evaluate_external,
                          run_multi_seed, verdict)
-from .metrics import TargetSpec, metric_surface
+from .metrics import MetricReport, TargetSpec, metric_surface
 from .reporting import (build_bundle, dump_json, export_curve, export_surface,
                         report_to_json, write_bundle)
 
 NO_THRESHOLD_MARK = "n/a (no a-priori threshold)"
-_THRESHOLD_METRICS = ("accuracy", "precision", "recall_pos", "f1",
-                      "volume_reduction", "slip_rate", "youden_at_threshold", "cv")
+_THRESHOLD_METRICS = MetricReport.METRIC_KEYS[:8]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,9 +214,7 @@ def load_experiment_setup(path) -> tuple[ExperimentConfig, Dataset, dict]:
 
 def _report_csv_row(report, label: str) -> list:
     cells = [label]
-    for key in ("accuracy", "precision", "recall_pos", "f1", "volume_reduction",
-                "slip_rate", "youden_at_threshold", "cv", "auc_pr",
-                "youden_score", "v_at_s", "cauc"):
+    for key in MetricReport.METRIC_KEYS:
         value = report.metric(key)
         if value is None:
             cells.append(NO_THRESHOLD_MARK if key in _THRESHOLD_METRICS
@@ -233,10 +230,7 @@ def cmd_evaluate(args) -> int:
                                n_slices=args.slices_by_timestamp)
     os.makedirs(args.out, exist_ok=True)
 
-    header = ["eval_set", "accuracy", "precision", "recall_pos", "f1",
-              "volume_reduction", "slip_rate", "youden_at_threshold", "cv",
-              "auc_pr", "youden_score", "v_at_s", "cauc"]
-    lines = [",".join(header)]
+    lines = [",".join(("eval_set",) + MetricReport.METRIC_KEYS)]
     lines.append(",".join(_report_csv_row(result.report, "overall")))
     rows = [{"eval_set": "overall", **report_to_json(result.report)}]
     if result.slice_reports:
@@ -250,9 +244,9 @@ def cmd_evaluate(args) -> int:
              "threshold_supplied": args.threshold is not None}
     with open(os.path.join(args.out, "table.json"), "w", encoding="utf-8") as handle:
         handle.write(dump_json(table))
-    if result.curve is not None:
+    if result.report.curve is not None:
         with open(os.path.join(args.out, "curve.json"), "w", encoding="utf-8") as handle:
-            handle.write(dump_json(export_curve(result.curve, targets)))
+            handle.write(dump_json(export_curve(result.report.curve, targets)))
     print(f"evaluated {result.report.n_rows} rows "
           f"({result.report.n_positives} defects) -> {args.out}")
     return 0

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .metrics import SENTINEL_THRESHOLD, TargetSpec
+from .metrics import SENTINEL_THRESHOLD, TargetSpec, validated_inputs
 
 
 @dataclass(frozen=True)
@@ -55,50 +55,59 @@ class OperatingCurve:
         return v, self.s[first]
 
 
-def _validated(scores, labels) -> tuple[np.ndarray, np.ndarray]:
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    if scores.ndim != 1 or labels.ndim != 1 or scores.shape != labels.shape:
-        raise InputError("scores and labels must be one-dimensional and equal-length")
-    if scores.size == 0:
-        raise InputError("empty input")
-    if not np.isin(labels, (0, 1)).all():
-        raise InputError("labels must be 0 or 1")
+class _Ranking(NamedTuple):
+    """Distinct scores in descending order with cumulative counts.
+
+    Thresholding at ``scores[i]`` predicts positive for exactly
+    ``predicted_pos[i]`` rows, ``tp[i]`` of them defects.
+    """
+
+    scores: np.ndarray
+    tp: np.ndarray
+    predicted_pos: np.ndarray
+    n_pos: int
+    n_neg: int
+
+    def curve(self) -> OperatingCurve:
+        """Operating points of the sentinel and every distinct score.
+
+        Each distinct score admits at least one more row than the one above
+        it, so tp or fp changes and no two points coincide.
+        """
+        tp = np.append(0, self.tp)
+        fp = np.append(0, self.predicted_pos - self.tp)
+        # Sentinel first: it is the largest threshold in this descending
+        # order.  Descending thresholds give descending (v, s); reverse both.
+        thresholds = np.append(SENTINEL_THRESHOLD, self.scores)
+        v = (self.n_neg - fp) / self.n_neg
+        s = (self.n_pos - tp) / self.n_pos
+        return OperatingCurve(thresholds=thresholds[::-1], v=v[::-1], s=s[::-1])
+
+    def auc_pr(self) -> float:
+        recall = self.tp / self.n_pos
+        precision = self.tp / self.predicted_pos
+        prev_recall = np.append(0.0, recall[:-1])
+        return float(np.sum((recall - prev_recall) * precision))
+
+
+def _ranked(scores: Sequence[float], labels: Sequence[int]) -> _Ranking:
+    """Validate a scored set with both classes and rank it once."""
+    scores, labels = validated_inputs(scores, labels)
     n_pos = int(np.count_nonzero(labels == 1))
     if n_pos == 0 or n_pos == labels.size:
         raise InputError("both classes must be present to sweep thresholds")
-    return scores, labels
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    # Index of the last occurrence of each distinct score in descending order:
+    # thresholding at that score predicts positive exactly for ranks <= index.
+    last = np.nonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))[0]
+    tp = np.cumsum(labels[order] == 1)[last]
+    return _Ranking(sorted_scores[last], tp, last + 1, n_pos, labels.size - n_pos)
 
 
 def sweep_thresholds(scores: Sequence[float], labels: Sequence[int]) -> OperatingCurve:
     """Build the operating curve over all distinct scores plus the sentinel."""
-    scores, labels = _validated(scores, labels)
-    n_pos = int(np.count_nonzero(labels == 1))
-    n_neg = labels.size - n_pos
-
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_pos = (labels[order] == 1)
-
-    # Index of the last occurrence of each distinct score in descending order:
-    # thresholding at that score predicts positive exactly for ranks <= index.
-    last = np.nonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))[0]
-    tp = np.cumsum(sorted_pos)[last]
-    predicted_pos = last + 1
-    fp = predicted_pos - tp
-
-    # Sentinel first: it is the largest threshold in this descending order.
-    thresholds = np.append(SENTINEL_THRESHOLD, sorted_scores[last])
-    tp = np.append(0, tp)
-    fp = np.append(0, fp)
-    v = (n_neg - fp) / n_neg
-    s = (n_pos - tp) / n_pos
-
-    # Descending thresholds produce descending (v, s); reverse to ascend, then
-    # drop any duplicated (v, s) pair keeping its smallest threshold.
-    thresholds, v, s = thresholds[::-1], v[::-1], s[::-1]
-    keep = np.append(True, (np.diff(v) != 0) | (np.diff(s) != 0))
-    return OperatingCurve(thresholds=thresholds[keep], v=v[keep], s=s[keep])
+    return _ranked(scores, labels).curve()
 
 
 class ThresholdChoice(NamedTuple):
@@ -151,20 +160,7 @@ def auc_pr(scores: Sequence[float], labels: Sequence[int]) -> float:
     weighted with the precision at the higher-recall endpoint, starting from
     recall 0.  A constant scorer therefore scores exactly the prevalence.
     """
-    scores, labels = _validated(scores, labels)
-    n_pos = int(np.count_nonzero(labels == 1))
-
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_pos = (labels[order] == 1)
-    last = np.nonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))[0]
-    tp = np.cumsum(sorted_pos)[last]
-    predicted_pos = last + 1
-
-    recall = tp / n_pos
-    precision = tp / predicted_pos
-    prev_recall = np.append(0.0, recall[:-1])
-    return float(np.sum((recall - prev_recall) * precision))
+    return _ranked(scores, labels).auc_pr()
 
 
 def constrained_auc(curve: OperatingCurve, targets: TargetSpec) -> float:
@@ -179,12 +175,13 @@ def constrained_auc_case(curve: OperatingCurve,
     Case 1: some achievable point meets both targets.  Value is the fraction
     of the target zone (v >= v_target, 1-s >= 1-s_target) lying under the
     envelope, in (0, 1].
-    Case 2: the envelope's area over [v_target, 1] exceeds its clip at height
-    1 - s_target although no point qualifies; value 0.  Unreachable under the
-    lower envelope but kept so exported case labels stay faithful.
-    Case 3: no overlap with the target zone.  Value is the negative
-    normalised gap between the clipped envelope and the zone's lower edge
-    over [0, v_target], in [-1, 0).
+    Case 3: no point meets both targets.  Value is the negative normalised
+    gap between the clipped envelope and the zone's lower edge over
+    [0, v_target], in [-1, 0).
+    Case 2, an envelope reaching into the zone without a qualifying point,
+    cannot occur: the lower envelope takes its height on (v_i, v_i+1] from
+    the achievable point at v_i+1, so any overlap with the zone puts that
+    point in it.  Cases 1 and 3 keep their numbers.
     """
     if len(curve) == 0:
         raise InputError("empty curve")
@@ -197,12 +194,6 @@ def constrained_auc_case(curve: OperatingCurve,
         hi = np.clip(right, vt, 1.0)
         area = float(np.sum((hi - lo) * np.maximum(0.0, st - seg_s)))
         return area / ((1.0 - vt) * st), 1
-
-    lo = np.clip(left, vt, 1.0)
-    hi = np.clip(right, vt, 1.0)
-    excess = float(np.sum((hi - lo) * np.maximum(0.0, st - seg_s)))
-    if excess > 0.0:
-        return 0.0, 2
 
     lo = np.clip(left, 0.0, vt)
     hi = np.clip(right, 0.0, vt)
@@ -225,9 +216,8 @@ def select_threshold(curve: OperatingCurve, criterion: str,
     if criterion == "v_at_s":
         if targets is None:
             raise InputError("v_at_s criterion requires targets")
-        ok = np.nonzero((curve.s <= targets.s_target) & (curve.v > 0.0))[0]
-        if ok.size == 0:
-            return ThresholdChoice(SENTINEL_THRESHOLD, False)
-        order = np.lexsort((curve.thresholds[ok], curve.s[ok], -curve.v[ok]))
-        return ThresholdChoice(float(curve.thresholds[ok[order[0]]]), True)
+        best = volume_at_target_slip(curve, targets)
+        if best.value > 0.0:
+            return ThresholdChoice(best.threshold, True)
+        return ThresholdChoice(SENTINEL_THRESHOLD, False)
     raise InputError(f"unknown threshold criterion {criterion!r}")

@@ -31,9 +31,11 @@ from .curves import (OperatingCurve, auc_pr, best_youden, constrained_auc,
                      select_threshold, sweep_thresholds, volume_at_target_slip)
 from .dataset import Dataset, EncodedMatrix, FeatureEncoder, SplitPlan, \
     chrono_split, stratified_kfold
-from .errors import IngestionError, InputError
+from .errors import IngestionError, InputError, UndefinedRateError
 from .metrics import (SENTINEL_THRESHOLD, MetricReport, TargetSpec,
-                      confusion_counts)
+                      accuracy_precision, confusion_counts, constrained_volume,
+                      slip_rate, standard_metrics, volume_reduction,
+                      youden_index)
 from .seeding import derive_seed, rng_for
 
 REGIME_STANDARD = "standard"
@@ -112,7 +114,6 @@ class RunResult:
     trial: TrialResult
     test_report: MetricReport
     slice_reports: list[MetricReport]
-    test_curve: Optional[OperatingCurve]
     threshold_source: str
     undeployable: bool
 
@@ -148,48 +149,45 @@ class SeedAggregate:
 # Metric reports
 
 
+def _defined(rate, *args) -> Optional[float]:
+    """The rate, or ``None`` when its denominator class is absent."""
+    try:
+        return rate(*args)
+    except UndefinedRateError:
+        return None
+
+
 def score_report(scores: Sequence[float], labels: Sequence[int],
                  targets: TargetSpec,
                  threshold: Optional[float] = None) -> MetricReport:
     """All metrics for one scored set; threshold-dependent ones need a threshold.
 
     Metrics whose denominator class is absent come back ``None`` instead of
-    failing, so thin evaluation slices degrade gracefully.
+    failing, so thin evaluation slices degrade gracefully.  ``report.curve``
+    keeps the operating curve the curve metrics came from.
     """
-    scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     report = MetricReport(threshold=threshold,
                           n_rows=int(labels.size),
                           n_positives=int(np.count_nonzero(labels == 1)))
-    n_negatives = report.n_rows - report.n_positives
 
     if threshold is not None:
         cc = confusion_counts(scores, labels, threshold)
-        report.accuracy = (cc.tp + cc.tn) / cc.total
-        predicted_pos = cc.tp + cc.fp
-        report.precision = cc.tp / predicted_pos if predicted_pos else 0.0
-        if report.n_positives:
-            report.recall_pos = cc.tp / cc.positives
-            denominator = report.precision + report.recall_pos
-            report.f1 = (2 * report.precision * report.recall_pos / denominator
-                         if denominator > 0 else 0.0)
-            s = cc.fn / cc.positives
-            report.slip_rate = s
-            report.slip_equals_target = s == targets.s_target
-            report.cv = (targets.s_target - s if s >= targets.s_target
-                         else (cc.tn / cc.negatives if n_negatives else None))
-        if n_negatives:
-            report.volume_reduction = cc.tn / cc.negatives
-        if report.n_positives and n_negatives:
-            report.youden_at_threshold = (report.volume_reduction
-                                          + report.recall_pos - 1.0)
+        report.accuracy, report.precision = accuracy_precision(cc)
+        report.slip_rate = _defined(slip_rate, cc)
+        if report.slip_rate is not None:
+            _, _, report.recall_pos, report.f1 = standard_metrics(cc)
+            report.slip_equals_target = report.slip_rate == targets.s_target
+        report.volume_reduction = _defined(volume_reduction, cc)
+        report.youden_at_threshold = _defined(youden_index, cc)
+        report.cv = _defined(constrained_volume, cc, targets)
 
-    if report.n_positives and n_negatives:
-        curve = sweep_thresholds(scores, labels)
+    if 0 < report.n_positives < report.n_rows:
+        report.curve = sweep_thresholds(scores, labels)
         report.auc_pr = auc_pr(scores, labels)
-        report.youden_score = best_youden(curve).score
-        report.v_at_s = volume_at_target_slip(curve, targets).value
-        report.cauc = constrained_auc(curve, targets)
+        report.youden_score = best_youden(report.curve).score
+        report.v_at_s = volume_at_target_slip(report.curve, targets).value
+        report.cauc = constrained_auc(report.curve, targets)
     return report
 
 
@@ -327,22 +325,15 @@ def run_single_seed(config: ExperimentConfig, dataset: Dataset, kind: str,
     model, encoder, trial = fit_deployable(hyper_ds, kind, config, seed)
 
     # Threshold is frozen; only now are evaluation rows touched.
-    def evaluate(indices: np.ndarray) -> tuple[MetricReport, Optional[OperatingCurve]]:
+    def evaluate(indices: np.ndarray) -> MetricReport:
         matrix = encoder.transform(dataset, indices=indices)
-        eval_scores = classifiers.score(model, matrix)
-        report = score_report(eval_scores, matrix.labels, config.targets,
-                              threshold=model.decision_threshold)
-        curve = None
-        if report.auc_pr is not None:
-            curve = sweep_thresholds(eval_scores, matrix.labels)
-        return report, curve
+        return score_report(classifiers.score(model, matrix), matrix.labels,
+                            config.targets, threshold=model.decision_threshold)
 
-    test_report, test_curve = evaluate(plan.test_indices)
-    slice_reports = [evaluate(idx)[0] for idx in plan.slice_indices]
     return RunResult(
         kind=kind, seed=seed, model=model, trial=trial,
-        test_report=test_report, slice_reports=slice_reports,
-        test_curve=test_curve,
+        test_report=evaluate(plan.test_indices),
+        slice_reports=[evaluate(idx) for idx in plan.slice_indices],
         threshold_source=("majority_class" if kind == classifiers.DUMMY
                           else "mean_fold"),
         undeployable=(kind != classifiers.DUMMY and not trial.deployable),
@@ -362,11 +353,13 @@ def run_multi_seed(config: ExperimentConfig, dataset: Dataset) -> dict:
                 run = run_single_seed(config, dataset, kind, seed)
             except Exception as exc:
                 raise type(exc)(f"[kind={kind} seed={seed}] {exc}") from exc
-            for name in EVAL_SETS:
-                reports[name].append(run.report_for(name))
-            if reference_curve is None and run.test_curve is not None:
-                reference_curve = run.test_curve
+            if reference_curve is None and run.test_report.curve is not None:
+                reference_curve = run.test_report.curve
                 reference_seed = seed
+            for name in EVAL_SETS:
+                report = run.report_for(name)
+                report.curve = None  # only the reference curve is kept
+                reports[name].append(report)
             if run.undeployable:
                 undeployable.append(seed)
         aggregates[kind] = SeedAggregate(
@@ -399,7 +392,6 @@ def verdict(aggregate: SeedAggregate, targets: TargetSpec) -> dict:
 @dataclass
 class ExternalEvaluation:
     report: MetricReport
-    curve: Optional[OperatingCurve]
     slice_reports: Optional[list] = None
 
 
@@ -459,9 +451,6 @@ def evaluate_external(path, targets: TargetSpec,
     """
     scores, labels, stamps = read_scores_csv(path)
     report = score_report(scores, labels, targets, threshold=threshold)
-    curve = None
-    if report.auc_pr is not None:
-        curve = sweep_thresholds(scores, labels)
     slice_reports = None
     if n_slices is not None:
         if n_slices < 2:
@@ -472,5 +461,4 @@ def evaluate_external(path, targets: TargetSpec,
         slice_reports = [
             score_report(scores[chunk], labels[chunk], targets, threshold=threshold)
             for chunk in np.array_split(order, n_slices)]
-    return ExternalEvaluation(report=report, curve=curve,
-                              slice_reports=slice_reports)
+    return ExternalEvaluation(report=report, slice_reports=slice_reports)

@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import InputError, UndefinedRateError
+
+if TYPE_CHECKING:
+    from .curves import OperatingCurve
 
 #: Decision threshold above every representable score: predicts class 0 for
 #: every input.  Used for models whose tuned threshold is infeasible and for
@@ -92,7 +95,8 @@ class MetricReport:
     available; curve-derived fields are ``None`` when the evaluation set
     contains a single class only.  ``slip_equals_target`` flags the boundary
     case s == s_target, where cv is exactly 0 by the first branch although
-    the slip target is not strictly exceeded.
+    the slip target is not strictly exceeded.  ``curve`` is the operating
+    curve behind the curve-derived fields.
     """
 
     threshold: Optional[float] = None
@@ -111,6 +115,8 @@ class MetricReport:
     slip_equals_target: bool = False
     n_rows: int = 0
     n_positives: int = 0
+    curve: Optional[OperatingCurve] = field(default=None, repr=False,
+                                              compare=False)
 
     METRIC_KEYS = (
         "accuracy", "precision", "recall_pos", "f1", "volume_reduction",
@@ -124,9 +130,12 @@ class MetricReport:
         return getattr(self, key)
 
 
-def confusion_counts(scores: Sequence[float], labels: Sequence[int],
-                     threshold: float) -> ConfusionCounts:
-    """Count prediction outcomes with the rule: positive iff score >= threshold."""
+def validated_inputs(scores: Sequence[float],
+                     labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and labels as arrays after the shape, label and finiteness checks.
+
+    A NaN score fails every threshold and an infinite one ties the sentinel.
+    """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.ndim != 1 or labels.ndim != 1:
@@ -138,6 +147,17 @@ def confusion_counts(scores: Sequence[float], labels: Sequence[int],
         raise InputError("empty input")
     if not np.isin(labels, (0, 1)).all():
         raise InputError("labels must be 0 or 1")
+    finite = np.isfinite(scores)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise InputError(f"scores must be finite, got {scores[index]} at index {index}")
+    return scores, labels
+
+
+def confusion_counts(scores: Sequence[float], labels: Sequence[int],
+                     threshold: float) -> ConfusionCounts:
+    """Count prediction outcomes with the rule: positive iff score >= threshold."""
+    scores, labels = validated_inputs(scores, labels)
     predicted = scores >= threshold
     actual = labels == 1
     tp = int(np.count_nonzero(predicted & actual))
@@ -161,6 +181,15 @@ def slip_rate(cc: ConfusionCounts) -> float:
     return cc.fn / cc.positives
 
 
+def accuracy_precision(cc: ConfusionCounts) -> tuple[float, float]:
+    """Accuracy, and precision taken as 0 when nothing is predicted positive."""
+    if cc.total == 0:
+        raise InputError("empty counts")
+    predicted_pos = cc.tp + cc.fp
+    return ((cc.tp + cc.tn) / cc.total,
+            cc.tp / predicted_pos if predicted_pos else 0.0)
+
+
 def standard_metrics(cc: ConfusionCounts) -> StandardMetrics:
     """Accuracy, precision, recall of class 1, and F1.
 
@@ -168,13 +197,9 @@ def standard_metrics(cc: ConfusionCounts) -> StandardMetrics:
     positive.  Recall raises when no positives exist, because slip and
     volume reduction are meaningless on such data.
     """
-    if cc.total == 0:
-        raise InputError("empty counts")
+    accuracy, precision = accuracy_precision(cc)
     if cc.positives == 0:
         raise UndefinedRateError("recall undefined: no positives present")
-    accuracy = (cc.tp + cc.tn) / cc.total
-    predicted_pos = cc.tp + cc.fp
-    precision = cc.tp / predicted_pos if predicted_pos else 0.0
     recall_pos = cc.tp / cc.positives
     f1 = (2 * precision * recall_pos / (precision + recall_pos)
           if precision + recall_pos > 0 else 0.0)
@@ -182,10 +207,8 @@ def standard_metrics(cc: ConfusionCounts) -> StandardMetrics:
 
 
 def youden_index(cc: ConfusionCounts) -> float:
-    """recall_0 + recall_1 - 1 at the evaluated threshold, in [-1, 1]."""
-    if cc.positives == 0 or cc.negatives == 0:
-        raise UndefinedRateError("youden index requires both classes")
-    return volume_reduction(cc) + (1.0 - slip_rate(cc)) - 1.0
+    """recall_0 + recall_1 - 1 at the evaluated threshold; needs both classes."""
+    return volume_reduction(cc) + standard_metrics(cc).recall_pos - 1.0
 
 
 def constrained_volume(cc: ConfusionCounts, targets: TargetSpec) -> float:
@@ -201,27 +224,35 @@ def constrained_volume(cc: ConfusionCounts, targets: TargetSpec) -> float:
     return volume_reduction(cc)
 
 
-def analytic_metrics(prevalence: float, s: float, v: float,
-                     targets: TargetSpec) -> tuple[float, float, float]:
+def analytic_metrics(prevalence: float, s, v,
+                     targets: TargetSpec) -> tuple:
     """(accuracy, f1, cv) for exact rates instead of counts.
 
     With defect prevalence p, the confusion fractions at slip s and volume
     reduction v are tp = p(1-s), fn = ps, tn = (1-p)v, fp = (1-p)(1-v).
+    ``s`` and ``v`` are scalars, giving Python floats, or arrays that
+    broadcast together, giving arrays of the broadcast shape.
     """
     if not 0.0 < prevalence < 1.0:
         raise InputError(f"prevalence must lie in (0, 1), got {prevalence}")
+    s = np.asarray(s, dtype=float)
+    v = np.asarray(v, dtype=float)
     for name, rate in (("s", s), ("v", v)):
-        if not 0.0 <= rate <= 1.0:
-            raise InputError(f"{name} must lie in [0, 1], got {rate}")
+        inside = (0.0 <= rate) & (rate <= 1.0)
+        if not inside.all():
+            raise InputError(f"{name} must lie in [0, 1], got {rate[~inside].flat[0]}")
     tp = prevalence * (1.0 - s)
-    fp = (1.0 - prevalence) * (1.0 - v)
-    accuracy = prevalence * (1.0 - s) + (1.0 - prevalence) * v
+    accuracy = tp + (1.0 - prevalence) * v
     recall = 1.0 - s
-    predicted_pos = tp + fp
-    precision = tp / predicted_pos if predicted_pos > 0 else 0.0
-    f1 = (2 * precision * recall / (precision + recall)
-          if precision + recall > 0 else 0.0)
-    cv = targets.s_target - s if s >= targets.s_target else v
+    predicted_pos = tp + (1.0 - prevalence) * (1.0 - v)
+    precision = np.divide(tp, predicted_pos, out=np.zeros_like(predicted_pos),
+                          where=predicted_pos > 0)
+    denominator = precision + recall
+    f1 = np.divide(2 * precision * recall, denominator,
+                   out=np.zeros_like(denominator), where=denominator > 0)
+    cv = np.where(s >= targets.s_target, targets.s_target - s, v)
+    if accuracy.ndim == 0:
+        return float(accuracy), float(f1), float(cv)
     return accuracy, f1, cv
 
 
@@ -252,13 +283,8 @@ def metric_surface(prevalence: float, resolution: int,
         raise InputError(f"grid resolution must be >= 2, got {resolution}")
     s_values = np.linspace(0.0, 1.0, resolution)
     v_values = np.linspace(0.0, 1.0, resolution)
-    accuracy = np.empty((resolution, resolution))
-    f1 = np.empty_like(accuracy)
-    cv = np.empty_like(accuracy)
-    for i, s in enumerate(s_values):
-        for j, v in enumerate(v_values):
-            accuracy[i, j], f1[i, j], cv[i, j] = analytic_metrics(
-                prevalence, float(s), float(v), targets)
+    accuracy, f1, cv = analytic_metrics(prevalence, s_values[:, None],
+                                        v_values[None, :], targets)
     return MetricSurface(prevalence=prevalence, targets=targets,
                          s_values=s_values, v_values=v_values,
                          accuracy=accuracy, f1=f1, cv=cv)

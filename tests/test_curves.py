@@ -149,6 +149,12 @@ class TestSweep:
         with pytest.raises(InputError):
             sweep_thresholds([0.2, 0.4], [1, 1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("ranker", [sweep_thresholds, auc_pr])
+    def test_non_finite_scores_rejected(self, ranker, bad):
+        with pytest.raises(InputError, match="finite"):
+            ranker([0.2, bad, 0.7, 0.1], [1, 0, 0, 1])
+
     def test_matches_oracle_everywhere(self):
         for seed in range(25):
             scores, labels = random_case(seed, n_max=80)
@@ -268,6 +274,7 @@ class TestConstrainedAuc:
             scores, labels = random_case(seed)
             curve = sweep_thresholds(scores, labels)
             value, case = constrained_auc_case(curve, TARGETS)
+            assert case in (1, 3)
             assert -1.0 <= value <= 1.0
             if case == 1:
                 assert value > 0.0

@@ -42,6 +42,11 @@ class TestConfusionCounts:
         with pytest.raises(InputError):
             confusion_counts([], [], 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            confusion_counts([0.2, bad, 0.7], [1, 0, 0], 0.5)
+
     def test_negative_count_rejected(self):
         with pytest.raises(InputError):
             ConfusionCounts(tp=-1, fp=0, tn=0, fn=0)
@@ -193,6 +198,17 @@ class TestMetricSurface:
             for j, v in enumerate(surface.v_values):
                 expected = prevalence * (1 - s) + (1 - prevalence) * v
                 assert abs(surface.accuracy[i, j] - expected) <= 1e-12
+
+    def test_grid_cells_equal_scalar_evaluation(self):
+        surface = metric_surface(0.05, 17, TARGETS)
+        for i, s in enumerate(surface.s_values):
+            for j, v in enumerate(surface.v_values):
+                assert analytic_metrics(0.05, float(s), float(v), TARGETS) == (
+                    surface.accuracy[i, j], surface.f1[i, j], surface.cv[i, j])
+
+    def test_out_of_range_rate_rejected_in_arrays(self):
+        with pytest.raises(InputError, match="1.5"):
+            analytic_metrics(0.1, np.array([0.2, 1.5]), 0.5, TARGETS)
 
     def test_degenerate_grid_rejected(self):
         with pytest.raises(InputError):
