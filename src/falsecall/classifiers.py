@@ -10,7 +10,10 @@ the package-wide seed derivation.
 
 Trees split numeric features at midpoints of sorted distinct values, choose
 the split with minimal weighted Gini impurity and break ties by lowest
-feature index, then lowest split value.
+feature index, then lowest split value.  Each fit sorts its training matrix
+once; every tree grows on the distinct rows of its bag, weighted by how often
+the bag drew them, and every node keeps its rows in that presorted order, so
+the split search sorts nothing.
 """
 
 from __future__ import annotations
@@ -155,9 +158,18 @@ class TrainedModel:
 # Decision trees
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator,
+def _grow_tree(X: np.ndarray, y: np.ndarray, weight: np.ndarray,
+               order: np.ndarray, rng: np.random.Generator,
                max_depth: Optional[int], min_leaf: int, n_candidates: int) -> dict:
+    """Grow one tree on the bag whose row multiplicities are ``weight``.
+
+    ``order`` holds each feature's row ids in ascending value order, shape
+    ``(n_features, n_rows)``.  Each node keeps that layout for its own rows,
+    so no node sorts: the counts left of every cut are prefix sums of the
+    multiplicities, the same integers as on the materialised bag.
+    """
     n_features = X.shape[1]
+    weighted_y = weight * y
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -173,63 +185,60 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator,
         vote.append(1 if pos > count - pos else 0)
         return node
 
-    def best_split(idx: np.ndarray, feats: np.ndarray):
-        n = idx.size
-        y_node = y[idx]
-        total_pos = int(y_node.sum())
-        best = None
-        for f in feats:
-            values = X[idx, f]
-            order = np.argsort(values, kind="stable")
-            vs = values[order]
-            boundaries = np.nonzero(vs[1:] != vs[:-1])[0]
-            if boundaries.size == 0:
-                continue
-            nl = boundaries + 1
-            if min_leaf > 1:
-                okay = (nl >= min_leaf) & (n - nl >= min_leaf)
-                boundaries, nl = boundaries[okay], nl[okay]
-                if boundaries.size == 0:
-                    continue
-            nr = n - nl
-            pl = np.cumsum(y_node[order])[boundaries]
-            pr = total_pos - pl
-            gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
-            gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
-            weighted = (nl * gini_l + nr * gini_r) / n
-            b = int(np.argmin(weighted))
-            if best is None or weighted[b] < best[0]:
-                cut = boundaries[b]
-                best = (float(weighted[b]), int(f),
-                        float((vs[cut] + vs[cut + 1]) / 2.0))
-        return best
+    def best_split(rows: np.ndarray, feats: np.ndarray, n: int, total_pos: int):
+        # ``rows`` has one line per candidate feature, in ascending value
+        # order; the cut after column j sends columns 0..j left.
+        values = X[rows, feats[:, None]]
+        nl = weight[rows].cumsum(axis=1)[:, :-1]
+        pl = weighted_y[rows].cumsum(axis=1)[:, :-1]
+        valid = values[:, 1:] != values[:, :-1]
+        if min_leaf > 1:
+            valid &= (nl >= min_leaf) & (nl <= n - min_leaf)
+        if not valid.any():
+            return None
+        nr = n - nl
+        pr = total_pos - pl
+        gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
+        gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
+        weighted = (nl * gini_l + nr * gini_r) / n
+        weighted[~valid] = np.inf
+        # The row-major first minimum is the lowest feature, then the lowest
+        # value, as the tie rule asks.
+        f, cut = divmod(int(weighted.argmin()), weighted.shape[1])
+        return int(feats[f]), float((values[f, cut] + values[f, cut + 1]) / 2.0)
 
-    def build(idx: np.ndarray, depth: int) -> int:
-        n = idx.size
-        pos = int(y[idx].sum())
+    def build(rows: np.ndarray, depth: int) -> int:
+        ids = rows[0]
+        n = int(weight[ids].sum())
+        pos = int(weighted_y[ids].sum())
         if (pos == 0 or pos == n or n < 2 * min_leaf
                 or (max_depth is not None and depth >= max_depth)):
             return leaf(pos, n)
         if n_candidates < n_features:
-            feats = np.sort(rng.choice(n_features, n_candidates, replace=False))
+            feats = rng.choice(n_features, n_candidates, replace=False)
+            feats.sort()
+            split = best_split(rows[feats], feats, n, pos)
         else:
-            feats = np.arange(n_features)
-        split = best_split(idx, feats)
+            split = best_split(rows, np.arange(n_features), n, pos)
         if split is None:
             return leaf(pos, n)
-        _, f, cut = split
+        f, cut = split
         node = len(feature)
         feature.append(f)
         threshold.append(cut)
         left.append(-1)
         right.append(-1)
         vote.append(-1)
-        go_left = X[idx, f] <= cut
-        left[node] = build(idx[go_left], depth + 1)
-        right[node] = build(idx[~go_left], depth + 1)
+        # Partition by value, not by sorted position: the midpoint of two
+        # adjacent floats can round to the larger one, which goes left too.
+        # Boolean selection is stable, so each child stays sorted.
+        go_left = X[:, f][rows] <= cut
+        left[node] = build(rows[go_left].reshape(n_features, -1), depth + 1)
+        right[node] = build(rows[~go_left].reshape(n_features, -1), depth + 1)
         return node
 
-    build(np.arange(X.shape[0]), 0)
+    present = weight[order] > 0
+    build(order[present].reshape(n_features, -1), 0)
     return {"feature": np.array(feature, dtype=np.int64),
             "threshold": np.array(threshold, dtype=float),
             "left": np.array(left, dtype=np.int64),
@@ -285,6 +294,8 @@ def _train_forest(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray) -> dict:
     class1 = np.nonzero(y == 1)[0]
     per_class = min(class0.size, class1.size)
 
+    # Sorted once per fit; every tree and node reuses this order.
+    order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
     trees = []
     bag_positive = []
     for t in range(n_trees):
@@ -295,8 +306,9 @@ def _train_forest(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray) -> dict:
             assert int(y[bag].sum()) == per_class == bag.size - int(y[bag].sum())
         else:
             bag = rng.integers(0, n, n)
-        bag_positive.append(int(y[bag].sum()))
-        trees.append(_grow_tree(X[bag], y[bag], rng, max_depth, min_leaf,
+        weight = np.bincount(bag, minlength=n)
+        bag_positive.append(int(weight @ y))
+        trees.append(_grow_tree(X, y, weight, order, rng, max_depth, min_leaf,
                                 n_candidates))
     return {"trees": trees, "bag_positive_counts": bag_positive,
             "per_class_bag": per_class if balanced else None}

@@ -67,14 +67,25 @@ def parse_kv_text(text: str, origin: str = "config") -> dict:
     return entries
 
 
-def _parse_windows(value: str) -> tuple:
+def _converted(value, key: str, convert, problems: list):
+    """``convert(value)``; a value it rejects adds a problem naming ``key``."""
+    try:
+        return convert(value)
+    except ValueError:
+        expected = "an integer" if convert is int else "a number"
+        problems.append(f"key {key!r} must be {expected}, got {value!r}")
+        return None
+
+
+def _parse_windows(value: str, key: str, problems: list) -> tuple:
     windows = []
     for part in value.split(","):
         part = part.strip()
         lo, sep, hi = part.partition(":")
         if not sep:
             raise InputError(f"window {part!r} must look like start:end")
-        windows.append((float(lo), float(hi)))
+        windows.append((_converted(lo, key, float, problems),
+                        _converted(hi, key, float, problems)))
     return tuple(windows)
 
 
@@ -82,45 +93,55 @@ _SYNTH_KEYS = ("n_rows", "prevalence", "n_clusters", "windows",
                "drift_strength", "noise", "n_features", "seed")
 
 
-def synthetic_config_from_kv(kv: dict, prefix: str = "") -> SyntheticConfig:
-    def get(name, default=None):
-        return kv.get(prefix + name, default)
+def _synthetic_kwargs(kv: dict, problems: list, prefix: str = "") -> dict:
+    """``SyntheticConfig`` arguments; usable only if ``problems`` stayed empty."""
+    def get(name, convert, default=None):
+        return _converted(kv.get(prefix + name, default), prefix + name,
+                          convert, problems)
 
-    if get("n_rows") is None or get("prevalence") is None:
+    if kv.get(prefix + "n_rows") is None or kv.get(prefix + "prevalence") is None:
         raise InputError(f"synthetic data needs {prefix}n_rows and {prefix}prevalence")
     kwargs = {
-        "n_rows": int(get("n_rows")),
-        "prevalence": float(get("prevalence")),
-        "n_clusters": int(get("n_clusters", 1)),
-        "drift_strength": float(get("drift_strength", 3.0)),
-        "noise": float(get("noise", 1.0)),
-        "n_features": int(get("n_features", 5)),
-        "seed": int(get("seed", 0)),
+        "n_rows": get("n_rows", int),
+        "prevalence": get("prevalence", float),
+        "n_clusters": get("n_clusters", int, 1),
+        "drift_strength": get("drift_strength", float, 3.0),
+        "noise": get("noise", float, 1.0),
+        "n_features": get("n_features", int, 5),
+        "seed": get("seed", int, 0),
     }
-    windows = get("windows")
-    kwargs["cluster_windows"] = (_parse_windows(windows) if windows
-                                 else ((0.0, 1.0),) * kwargs["n_clusters"])
-    return SyntheticConfig(**kwargs)
+    windows = kv.get(prefix + "windows")
+    if windows:
+        kwargs["cluster_windows"] = _parse_windows(windows, prefix + "windows",
+                                                   problems)
+    elif kwargs["n_clusters"] is not None:
+        kwargs["cluster_windows"] = ((0.0, 1.0),) * kwargs["n_clusters"]
+    return kwargs
 
 
-def _parse_bounds(value: str) -> tuple[int, int]:
+def _parse_bounds(value: str, key: str,
+                  problems: list) -> Optional[tuple[int, int]]:
     lo, sep, hi = value.partition(":")
     if not sep:
         raise InputError(f"bounds {value!r} must look like low:high")
-    return int(lo), int(hi)
+    bounds = (_converted(lo, key, int, problems), _converted(hi, key, int, problems))
+    return None if None in bounds else bounds
 
 
-def _spaces_from_kv(kv: dict) -> dict:
+def _spaces_from_kv(kv: dict, problems: list) -> dict:
     forest_bounds = {}
     knn_bounds = {}
     for key, value in kv.items():
         if not key.startswith("space."):
             continue
         _, group, param = key.split(".", 2)
+        bounds = _parse_bounds(value, key, problems)
+        if bounds is None:
+            continue
         if group == "forest":
-            forest_bounds[param] = _parse_bounds(value)
+            forest_bounds[param] = bounds
         elif group == "knn":
-            knn_bounds[param] = _parse_bounds(value)
+            knn_bounds[param] = bounds
         else:
             raise InputError(f"unknown space group {group!r} in {key!r}")
     spaces = {}
@@ -176,23 +197,33 @@ def load_experiment_setup(path) -> tuple[ExperimentConfig, Dataset, dict]:
     if problems:
         raise IngestionError(f"{path}: " + "; ".join(sorted(problems)))
 
-    targets = TargetSpec(s_target=float(kv.get("s_target", 0.01)),
-                         v_target=float(kv.get("v_target", 0.40)))
+    numbers = {key: _converted(kv.get(key, default), key, convert, problems)
+               for key, convert, default in (
+                   ("s_target", float, 0.01), ("v_target", float, 0.40),
+                   ("budget", int, 20), ("k_folds", int, 5),
+                   ("base_seed", int, 0), ("n_seeds", int, 10))}
+    spaces = _spaces_from_kv(kv, problems)
+    synthetic = (_synthetic_kwargs(kv, problems, "synthetic.")
+                 if kv["data"] == "synthetic" else None)
+    if problems:
+        raise IngestionError(f"{path}: " + "; ".join(sorted(problems)))
+
+    targets = TargetSpec(s_target=numbers["s_target"], v_target=numbers["v_target"])
     config = ExperimentConfig(
         model_kinds=kinds,
         regime=kv.get("regime", "requirement_aware"),
         targets=targets,
         optimizer=kv.get("optimizer", "random"),
-        budget=int(kv.get("budget", 20)),
-        k_folds=int(kv.get("k_folds", 5)),
-        base_seed=int(kv.get("base_seed", 0)),
-        n_seeds=int(kv.get("n_seeds", 10)),
-        spaces=_spaces_from_kv(kv),
+        budget=numbers["budget"],
+        k_folds=numbers["k_folds"],
+        base_seed=numbers["base_seed"],
+        n_seeds=numbers["n_seeds"],
+        spaces=spaces,
         run_id=kv.get("run_id", "run"),
     )
 
-    if kv["data"] == "synthetic":
-        dataset = generate_synthetic(synthetic_config_from_kv(kv, "synthetic."))
+    if synthetic is not None:
+        dataset = generate_synthetic(SyntheticConfig(**synthetic))
     else:
         if "csv.path" not in kv:
             raise IngestionError(f"{path}: csv data needs csv.path")
@@ -287,7 +318,11 @@ def cmd_generate(args) -> int:
     unknown = [k for k in kv if k not in _SYNTH_KEYS]
     if unknown:
         raise IngestionError(f"{args.config}: unknown keys {sorted(unknown)}")
-    dataset = generate_synthetic(synthetic_config_from_kv(kv))
+    problems = []
+    synthetic = _synthetic_kwargs(kv, problems)
+    if problems:
+        raise IngestionError(f"{args.config}: " + "; ".join(problems))
+    dataset = generate_synthetic(SyntheticConfig(**synthetic))
     write_csv(dataset, args.out)
     print(f"wrote {dataset.n_rows} rows "
           f"({int(dataset.labels.sum())} defects) to {args.out}")

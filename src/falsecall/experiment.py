@@ -31,11 +31,12 @@ from .curves import (OperatingCurve, auc_pr, best_youden, constrained_auc,
                      select_threshold, sweep_thresholds, volume_at_target_slip)
 from .dataset import Dataset, EncodedMatrix, FeatureEncoder, SplitPlan, \
     chrono_split, stratified_kfold
-from .errors import IngestionError, InputError, UndefinedRateError
+from .errors import (FalseCallError, IngestionError, InputError,
+                     UndefinedRateError)
 from .metrics import (SENTINEL_THRESHOLD, MetricReport, TargetSpec,
                       accuracy_precision, confusion_counts, constrained_volume,
-                      slip_rate, standard_metrics, volume_reduction,
-                      youden_index)
+                      slip_rate, standard_metrics, validated_inputs,
+                      volume_reduction, youden_index)
 from .seeding import derive_seed, rng_for
 
 REGIME_STANDARD = "standard"
@@ -162,11 +163,12 @@ def score_report(scores: Sequence[float], labels: Sequence[int],
                  threshold: Optional[float] = None) -> MetricReport:
     """All metrics for one scored set; threshold-dependent ones need a threshold.
 
-    Metrics whose denominator class is absent come back ``None`` instead of
-    failing, so thin evaluation slices degrade gracefully.  ``report.curve``
-    keeps the operating curve the curve metrics came from.
+    The inputs are validated first, whatever classes they hold.  Metrics
+    whose denominator class is absent come back ``None`` instead of failing,
+    so thin evaluation slices degrade gracefully.  ``report.curve`` keeps the
+    operating curve the curve metrics came from.
     """
-    labels = np.asarray(labels)
+    scores, labels = validated_inputs(scores, labels)
     report = MetricReport(threshold=threshold,
                           n_rows=int(labels.size),
                           n_positives=int(np.count_nonzero(labels == 1)))
@@ -351,8 +353,10 @@ def run_multi_seed(config: ExperimentConfig, dataset: Dataset) -> dict:
         for seed in config.seeds:
             try:
                 run = run_single_seed(config, dataset, kind, seed)
-            except Exception as exc:
+            except FalseCallError as exc:
                 raise type(exc)(f"[kind={kind} seed={seed}] {exc}") from exc
+            except Exception as exc:
+                raise FalseCallError(f"[kind={kind} seed={seed}] {exc}") from exc
             if reference_curve is None and run.test_report.curve is not None:
                 reference_curve = run.test_report.curve
                 reference_seed = seed
@@ -457,6 +461,8 @@ def evaluate_external(path, targets: TargetSpec,
             raise InputError("n_slices must be >= 2")
         if stamps is None:
             raise InputError("slice-wise evaluation needs a timestamp column")
+        if n_slices > scores.size:
+            raise InputError(f"n_slices={n_slices} exceeds the {scores.size} rows")
         order = np.argsort(stamps, kind="stable")
         slice_reports = [
             score_report(scores[chunk], labels[chunk], targets, threshold=threshold)

@@ -112,6 +112,16 @@ class TestEvaluate:
         assert run_cli(["evaluate", "--scores", str(tmp_path / "nope.csv"),
                         *TARGET_FLAGS, "--out", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("threshold", [[], ["--threshold", "0.5"]])
+    def test_more_slices_than_rows_exits_one(self, tmp_path, capsys, threshold):
+        scores = write_scores(tmp_path / "s.csv", ["0.9,1,0", "0.1,0,1", "0.3,0,2"],
+                              header="score,label,timestamp")
+        out = tmp_path / "out"
+        assert run_cli(["evaluate", "--scores", scores, *TARGET_FLAGS, *threshold,
+                        "--slices-by-timestamp", "5", "--out", str(out)]) == 1
+        assert "n_slices=5 exceeds the 3 rows" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExperiment:
     def test_dummy_only_fails_verdict(self, tmp_path, capsys):
@@ -141,6 +151,16 @@ class TestExperiment:
         assert run_cli(["experiment", "--config", str(path),
                         "--out", str(tmp_path / "out")]) == 1
         assert "csv" in capsys.readouterr().err
+
+    def test_bad_numbers_named_and_exit_one(self, tmp_path, capsys):
+        config = experiment_config(tmp_path, budget="abc", s_target="1%",
+                                   **{"synthetic.n_rows": "3e3",
+                                      "space.knn.k": "1:x"})
+        assert run_cli(["experiment", "--config", config,
+                        "--out", str(tmp_path / "out")]) == 1
+        message = capsys.readouterr().err
+        for key in ("budget", "s_target", "synthetic.n_rows", "space.knn.k"):
+            assert f"key {key!r}" in message
 
     def test_unknown_model_kind_rejected(self, tmp_path, capsys):
         config = experiment_config(tmp_path, models="dummy, xgboost")

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from falsecall import experiment
 from falsecall.classifiers import DUMMY, KNN, RANDOM_FOREST, HyperParamSpace
 from falsecall.dataset import (NUMERIC, ColumnSpec, Dataset,
                                one_hot_fit_transform)
-from falsecall.errors import IngestionError, InputError
+from falsecall.errors import FalseCallError, IngestionError, InputError
 from falsecall.experiment import (REGIME_REQUIREMENT, REGIME_STANDARD,
                                   ExperimentConfig, evaluate_external,
                                   optimize_hyperparams, run_multi_seed,
@@ -74,6 +75,15 @@ class TestScoreReport:
             report = score_report(scores, labels, TARGETS, threshold=threshold)
             if report.cv is not None and report.cv >= 0:
                 assert report.v_at_s >= report.cv
+
+    @pytest.mark.parametrize("scores, labels", [
+        ([math.nan, 0.2, 5.0], [0, 0, 0]),
+        ([0.1, 0.2, 0.5], [0, 2, 0]),
+        ([], []),
+    ])
+    def test_invalid_single_class_input_rejected(self, scores, labels):
+        with pytest.raises(InputError):
+            score_report(scores, labels, TARGETS)
 
     def test_single_class_set_degrades_gracefully(self):
         report = score_report([0.2, 0.4, 0.9], [0, 0, 0], TARGETS, threshold=0.5)
@@ -226,6 +236,21 @@ class TestRunMultiSeed:
         config = ExperimentConfig(model_kinds=(DUMMY,), budget=1, n_seeds=1)
         with pytest.raises(InputError, match="seed=0"):
             run_multi_seed(config, ds)
+
+    def test_foreign_error_wrapped_with_cause(self, monkeypatch):
+        class TwoArgumentError(Exception):
+            def __init__(self, code, detail):
+                super().__init__(f"{code}: {detail}")
+
+        def failing_run(*args):
+            raise TwoArgumentError(7, "disk full")
+
+        monkeypatch.setattr(experiment, "run_single_seed", failing_run)
+        config = ExperimentConfig(model_kinds=(DUMMY,), budget=1, n_seeds=1)
+        with pytest.raises(FalseCallError,
+                           match=r"\[kind=dummy seed=\d+\] 7: disk full") as info:
+            run_multi_seed(config, dc_dataset())
+        assert isinstance(info.value.__cause__, TwoArgumentError)
 
     def test_verdict_fails_dummy(self):
         config = ExperimentConfig(model_kinds=(DUMMY,), budget=1, n_seeds=2)
