@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dataset import EncodedMatrix
+from .dataset import EncodedMatrix, _atomic_output
 from .errors import InputError, StateError
 from .metrics import SENTINEL_THRESHOLD
 from .seeding import rng_for
@@ -445,7 +445,7 @@ def save_model(model: TrainedModel, path) -> None:
         "metadata": model.metadata,
         "state": state,
     }
-    with open(path, "w", encoding="utf-8") as handle:
+    with _atomic_output(path) as handle:
         json.dump(document, handle, sort_keys=True)
 
 

@@ -14,7 +14,7 @@ see the README for the schema.
 from __future__ import annotations
 
 import argparse
-import json
+import inspect
 import os
 import sys
 import traceback
@@ -22,8 +22,9 @@ from typing import Optional
 
 from .classifiers import BALANCED_RANDOM_FOREST, HyperParamSpace, KINDS, \
     KNN, RANDOM_FOREST
-from .dataset import (Dataset, SyntheticConfig, generate_synthetic, load_csv,
-                      one_hot_fit_transform, pca2d, write_csv)
+from .dataset import (Dataset, SyntheticConfig, _atomic_output,
+                      generate_synthetic, load_csv, one_hot_fit_transform,
+                      pca2d, write_csv)
 from .errors import FalseCallError, IngestionError, InputError
 from .experiment import (EVAL_SETS, ExperimentConfig, evaluate_external,
                          run_multi_seed, verdict)
@@ -67,176 +68,134 @@ def parse_kv_text(text: str, origin: str = "config") -> dict:
     return entries
 
 
-def _converted(value, key: str, convert, problems: list):
-    """``convert(value)``; a value it rejects adds a problem naming ``key``."""
+def _read_config(path) -> dict:
     try:
-        return convert(value)
-    except ValueError:
-        expected = "an integer" if convert is int else "a number"
-        problems.append(f"key {key!r} must be {expected}, got {value!r}")
-        return None
+        with open(path, encoding="utf-8") as handle:
+            return parse_kv_text(handle.read(), origin=str(path))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestionError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_windows(value: str, key: str, problems: list) -> tuple:
-    windows = []
-    for part in value.split(","):
-        part = part.strip()
-        lo, sep, hi = part.partition(":")
-        if not sep:
-            raise InputError(f"window {part!r} must look like start:end")
-        windows.append((_converted(lo, key, float, problems),
-                        _converted(hi, key, float, problems)))
-    return tuple(windows)
+def _names(value: str) -> tuple:
+    return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
-_SYNTH_KEYS = ("n_rows", "prevalence", "n_clusters", "windows",
-               "drift_strength", "noise", "n_features", "seed")
+def _kinds(value: str) -> tuple:
+    kinds = _names(value)
+    if not set(kinds) <= set(KINDS):
+        raise ValueError(value)
+    return kinds
 
 
-def _synthetic_kwargs(kv: dict, problems: list, prefix: str = "") -> dict:
-    """``SyntheticConfig`` arguments; usable only if ``problems`` stayed empty."""
-    def get(name, convert, default=None):
-        return _converted(kv.get(prefix + name, default), prefix + name,
-                          convert, problems)
-
-    if kv.get(prefix + "n_rows") is None or kv.get(prefix + "prevalence") is None:
-        raise InputError(f"synthetic data needs {prefix}n_rows and {prefix}prevalence")
-    kwargs = {
-        "n_rows": get("n_rows", int),
-        "prevalence": get("prevalence", float),
-        "n_clusters": get("n_clusters", int, 1),
-        "drift_strength": get("drift_strength", float, 3.0),
-        "noise": get("noise", float, 1.0),
-        "n_features": get("n_features", int, 5),
-        "seed": get("seed", int, 0),
-    }
-    windows = kv.get(prefix + "windows")
-    if windows:
-        kwargs["cluster_windows"] = _parse_windows(windows, prefix + "windows",
-                                                   problems)
-    elif kwargs["n_clusters"] is not None:
-        kwargs["cluster_windows"] = ((0.0, 1.0),) * kwargs["n_clusters"]
-    return kwargs
+def _bounds(value: str) -> tuple[int, int]:
+    lo, hi = value.split(":")
+    return int(lo), int(hi)
 
 
-def _parse_bounds(value: str, key: str,
-                  problems: list) -> Optional[tuple[int, int]]:
-    lo, sep, hi = value.partition(":")
-    if not sep:
-        raise InputError(f"bounds {value!r} must look like low:high")
-    bounds = (_converted(lo, key, int, problems), _converted(hi, key, int, problems))
-    return None if None in bounds else bounds
+def _windows(value: str) -> tuple:
+    return tuple((float(lo), float(hi))
+                 for lo, hi in (part.split(":") for part in value.split(",")))
 
 
-def _spaces_from_kv(kv: dict, problems: list) -> dict:
-    forest_bounds = {}
-    knn_bounds = {}
-    for key, value in kv.items():
-        if not key.startswith("space."):
+#: What a value must look like, for every parser that can reject one.
+_EXPECTED = {int: "an integer", float: "a number",
+             _kinds: "comma-separated model kinds from " + ", ".join(KINDS),
+             _bounds: "integers low:high",
+             _windows: "comma-separated start:end numbers"}
+
+_SYNTHETIC_KEYS = {"n_rows": int, "prevalence": float, "n_clusters": int,
+                   "windows": _windows, "drift_strength": float, "noise": float,
+                   "n_features": int, "seed": int}
+_SPACE_KINDS = {"space.forest.": (RANDOM_FOREST, BALANCED_RANDOM_FOREST),
+                "space.knn.": (KNN,)}
+
+#: Every experiment config key as {section prefix: {key: parser}}.  Each key
+#: is named after what it sets: an ``ExperimentConfig`` or ``TargetSpec``
+#: field (``models`` is ``model_kinds``), a ``load_csv`` parameter, a
+#: ``SyntheticConfig`` field (``windows`` is ``cluster_windows``) or a
+#: ``HyperParamSpace`` integer range; ``data`` picks the section.  A key left
+#: out takes the default of what it sets.
+_EXPERIMENT_KEYS = {
+    "": {"run_id": str, "models": _kinds, "regime": str, "s_target": float,
+         "v_target": float, "optimizer": str, "budget": int, "k_folds": int,
+         "base_seed": int, "n_seeds": int, "data": str},
+    "csv.": {"path": str, "timestamp_column": str, "label_column": str,
+             "positive_label": str, "categorical_columns": _names},
+    "synthetic.": _SYNTHETIC_KEYS,
+    **{prefix: dict.fromkeys(HyperParamSpace.default(kinds[0]).int_ranges, _bounds)
+       for prefix, kinds in _SPACE_KINDS.items()},
+}
+
+
+def _read_keys(kv: dict, sections: dict, problems: list) -> dict:
+    """Parse every config line by ``sections``, ``{prefix: {key: parser}}``.
+
+    Returns ``{prefix: {key: value}}`` for the keys present.  An unknown key,
+    or a value its parser rejects, adds a problem naming the key.
+    """
+    values = {prefix: {} for prefix in sections}
+    for name, text in kv.items():
+        prefix = next((p for p in sections if p and name.startswith(p)), "")
+        key = name[len(prefix):]
+        parse = sections[prefix].get(key)
+        if parse is None:
+            problems.append(f"unknown key {name!r}")
             continue
-        _, group, param = key.split(".", 2)
-        bounds = _parse_bounds(value, key, problems)
-        if bounds is None:
-            continue
-        if group == "forest":
-            forest_bounds[param] = bounds
-        elif group == "knn":
-            knn_bounds[param] = bounds
-        else:
-            raise InputError(f"unknown space group {group!r} in {key!r}")
-    spaces = {}
-    if forest_bounds:
-        for kind in (RANDOM_FOREST, BALANCED_RANDOM_FOREST):
-            spaces[kind] = HyperParamSpace.default(kind).narrowed(**forest_bounds)
-    if knn_bounds:
-        spaces[KNN] = HyperParamSpace.default(KNN).narrowed(**knn_bounds)
-    return spaces
+        try:
+            values[prefix][key] = parse(text)
+        except ValueError:
+            problems.append(f"key {name!r} must be {_EXPECTED[parse]}, got {text!r}")
+    return values
 
 
-_TOP_KEYS = {"run_id", "models", "regime", "s_target", "v_target", "optimizer",
-             "budget", "k_folds", "base_seed", "n_seeds", "data"}
-_CSV_KEYS = {"path", "timestamp_column", "label_column", "positive_label",
-             "categorical_columns"}
+def _missing(build, kv: dict, prefix: str = "") -> list:
+    """A problem for each parameter of ``build`` with neither default nor key."""
+    return [f"missing key {prefix + name!r}"
+            for name, param in inspect.signature(build).parameters.items()
+            if param.default is param.empty and prefix + name not in kv]
+
+
+def _synthetic_config(values: dict) -> SyntheticConfig:
+    """Without ``windows``, each cluster spans the whole timestamp range."""
+    values = dict(values)
+    if "windows" in values:
+        values["cluster_windows"] = values.pop("windows")
+    elif "n_clusters" in values:
+        values["cluster_windows"] = (SyntheticConfig.cluster_windows
+                                     * values["n_clusters"])
+    return SyntheticConfig(**values)
 
 
 def load_experiment_setup(path) -> tuple[ExperimentConfig, Dataset, dict]:
     """Parse an experiment config file and materialise its dataset.
 
-    Returns (config, dataset, provenance echo).  All schema violations are
-    collected and reported together.
+    Returns (config, dataset, provenance echo).  Unknown and missing keys and
+    unparseable values are collected and reported together.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            kv = parse_kv_text(handle.read(), origin=str(path))
-    except OSError as exc:
-        raise IngestionError(f"cannot open {path}: {exc}") from exc
-
-    problems = []
-    for key in kv:
-        top, dot, rest = key.partition(".")
-        if key in _TOP_KEYS:
-            continue
-        if top == "csv" and dot and rest in _CSV_KEYS:
-            continue
-        if top == "synthetic" and dot and rest in _SYNTH_KEYS:
-            continue
-        if top == "space" and dot:
-            continue
-        problems.append(f"unknown key {key!r}")
-    if "models" not in kv:
-        problems.append("missing key 'models'")
-    if kv.get("data") not in ("synthetic", "csv"):
+    kv = _read_config(path)
+    problems = [] if "models" in kv else ["missing key 'models'"]
+    values = _read_keys(kv, _EXPERIMENT_KEYS, problems)
+    top = values[""]
+    source = top.pop("data", None)
+    if source not in ("synthetic", "csv"):
         problems.append("key 'data' must be 'synthetic' or 'csv'")
+    elif source == "synthetic":
+        problems += _missing(SyntheticConfig, kv, "synthetic.")
+    elif source == "csv":
+        problems += _missing(load_csv, kv, "csv.")
     if problems:
         raise IngestionError(f"{path}: " + "; ".join(sorted(problems)))
 
-    kinds = tuple(m.strip() for m in kv["models"].split(",") if m.strip())
-    for kind in kinds:
-        if kind not in KINDS:
-            problems.append(f"unknown model kind {kind!r} (choose from {KINDS})")
-    if problems:
-        raise IngestionError(f"{path}: " + "; ".join(sorted(problems)))
-
-    numbers = {key: _converted(kv.get(key, default), key, convert, problems)
-               for key, convert, default in (
-                   ("s_target", float, 0.01), ("v_target", float, 0.40),
-                   ("budget", int, 20), ("k_folds", int, 5),
-                   ("base_seed", int, 0), ("n_seeds", int, 10))}
-    spaces = _spaces_from_kv(kv, problems)
-    synthetic = (_synthetic_kwargs(kv, problems, "synthetic.")
-                 if kv["data"] == "synthetic" else None)
-    if problems:
-        raise IngestionError(f"{path}: " + "; ".join(sorted(problems)))
-
-    targets = TargetSpec(s_target=numbers["s_target"], v_target=numbers["v_target"])
-    config = ExperimentConfig(
-        model_kinds=kinds,
-        regime=kv.get("regime", "requirement_aware"),
-        targets=targets,
-        optimizer=kv.get("optimizer", "random"),
-        budget=numbers["budget"],
-        k_folds=numbers["k_folds"],
-        base_seed=numbers["base_seed"],
-        n_seeds=numbers["n_seeds"],
-        spaces=spaces,
-        run_id=kv.get("run_id", "run"),
-    )
-
-    if synthetic is not None:
-        dataset = generate_synthetic(SyntheticConfig(**synthetic))
-    else:
-        if "csv.path" not in kv:
-            raise IngestionError(f"{path}: csv data needs csv.path")
-        categorical = None
-        if kv.get("csv.categorical_columns"):
-            categorical = [c.strip() for c in kv["csv.categorical_columns"].split(",")]
-        dataset = load_csv(kv["csv.path"],
-                           timestamp_column=kv.get("csv.timestamp_column", "timestamp"),
-                           label_column=kv.get("csv.label_column", "label"),
-                           positive_label=kv.get("csv.positive_label"),
-                           categorical_columns=categorical)
-    provenance = {"config": dict(sorted(kv.items()))}
-    return config, dataset, provenance
+    targets = TargetSpec(**{key: top.pop(key) for key in ("s_target", "v_target")
+                            if key in top})
+    spaces = {kind: HyperParamSpace.default(kind).narrowed(**values[prefix])
+              for prefix, kinds in _SPACE_KINDS.items() if values[prefix]
+              for kind in kinds}
+    config = ExperimentConfig(model_kinds=top.pop("models"), targets=targets,
+                              spaces=spaces, **top)
+    dataset = (generate_synthetic(_synthetic_config(values["synthetic."]))
+               if source == "synthetic" else load_csv(**values["csv."]))
+    return config, dataset, {"config": dict(sorted(kv.items()))}
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +227,15 @@ def cmd_evaluate(args) -> int:
         for i, slice_report in enumerate(result.slice_reports, 1):
             lines.append(",".join(_report_csv_row(slice_report, f"slice{i}")))
             rows.append({"eval_set": f"slice{i}", **report_to_json(slice_report)})
-    with open(os.path.join(args.out, "table.csv"), "w", encoding="utf-8") as handle:
+    with _atomic_output(os.path.join(args.out, "table.csv")) as handle:
         handle.write("\n".join(lines) + "\n")
     table = {"rows": rows,
              "targets": {"s_target": targets.s_target, "v_target": targets.v_target},
              "threshold_supplied": args.threshold is not None}
-    with open(os.path.join(args.out, "table.json"), "w", encoding="utf-8") as handle:
+    with _atomic_output(os.path.join(args.out, "table.json")) as handle:
         handle.write(dump_json(table))
     if result.report.curve is not None:
-        with open(os.path.join(args.out, "curve.json"), "w", encoding="utf-8") as handle:
+        with _atomic_output(os.path.join(args.out, "curve.json")) as handle:
             handle.write(dump_json(export_curve(result.report.curve, targets)))
     print(f"evaluated {result.report.n_rows} rows "
           f"({result.report.n_positives} defects) -> {args.out}")
@@ -310,19 +269,12 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as handle:
-            kv = parse_kv_text(handle.read(), origin=str(args.config))
-    except OSError as exc:
-        raise IngestionError(f"cannot open {args.config}: {exc}") from exc
-    unknown = [k for k in kv if k not in _SYNTH_KEYS]
-    if unknown:
-        raise IngestionError(f"{args.config}: unknown keys {sorted(unknown)}")
-    problems = []
-    synthetic = _synthetic_kwargs(kv, problems)
+    kv = _read_config(args.config)
+    problems = _missing(SyntheticConfig, kv)
+    values = _read_keys(kv, {"": _SYNTHETIC_KEYS}, problems)[""]
     if problems:
-        raise IngestionError(f"{args.config}: " + "; ".join(problems))
-    dataset = generate_synthetic(SyntheticConfig(**synthetic))
+        raise IngestionError(f"{args.config}: " + "; ".join(sorted(problems)))
+    dataset = generate_synthetic(_synthetic_config(values))
     write_csv(dataset, args.out)
     print(f"wrote {dataset.n_rows} rows "
           f"({int(dataset.labels.sum())} defects) to {args.out}")
@@ -330,24 +282,21 @@ def cmd_generate(args) -> int:
 
 
 def cmd_drift(args) -> int:
-    categorical = ([c.strip() for c in args.categorical.split(",")]
-                   if args.categorical else None)
-    dataset = load_csv(args.data, timestamp_column=args.timestamp_column,
-                       label_column=args.label_column,
-                       positive_label=args.positive_label,
-                       categorical_columns=categorical)
+    dataset = load_csv(args.data, **{
+        key: value for key, value in vars(args).items() if key in (
+            "timestamp_column", "label_column", "positive_label",
+            "categorical_columns")})
     matrix, _ = one_hot_fit_transform(dataset)
     projection = pca2d(matrix)
-    if str(args.out).endswith(".json"):
-        payload = {
-            "explained_variance": [float(x) for x in projection.explained_variance],
-            "rows": [{"pc1": x, "pc2": y, "row_index": i, "label": l}
-                     for x, y, i, l in projection.rows()],
-        }
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dump_json(payload))
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
+    with _atomic_output(args.out) as handle:
+        if str(args.out).endswith(".json"):
+            handle.write(dump_json({
+                "explained_variance": [float(x) for x in
+                                       projection.explained_variance],
+                "rows": [{"pc1": x, "pc2": y, "row_index": i, "label": l}
+                         for x, y, i, l in projection.rows()],
+            }))
+        else:
             handle.write("pc1,pc2,row_index,label\n")
             for x, y, i, l in projection.rows():
                 handle.write(f"{x!r},{y!r},{i},{l}\n")
@@ -361,7 +310,7 @@ def cmd_surface(args) -> int:
     surface_csv, surface_json = export_surface(surface)
     content = (dump_json(surface_json) if str(args.out).endswith(".json")
                else surface_csv)
-    with open(args.out, "w", encoding="utf-8") as handle:
+    with _atomic_output(args.out) as handle:
         handle.write(content)
     print(f"wrote {args.resolution}x{args.resolution} surface to {args.out}")
     return 0
@@ -379,8 +328,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", help="evaluate an exported score/label CSV")
     p.add_argument("--scores", required=True, help="CSV with score,label[,timestamp]")
-    p.add_argument("--s-target", type=float, default=0.01, dest="s_target")
-    p.add_argument("--v-target", type=float, default=0.40, dest="v_target")
+    p.add_argument("--s-target", type=float, default=TargetSpec.s_target,
+                   dest="s_target")
+    p.add_argument("--v-target", type=float, default=TargetSpec.v_target,
+                   dest="v_target")
     p.add_argument("--threshold", type=float, default=None,
                    help="a-priori decision threshold, if one exists")
     p.add_argument("--slices-by-timestamp", type=int, default=None,
@@ -399,20 +350,24 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("drift", help="export a 2-D principal-component projection")
+    # Options left out take the defaults of load_csv.
+    p = sub.add_parser("drift", help="export a 2-D principal-component projection",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--data", required=True, help="dataset CSV")
-    p.add_argument("--timestamp-column", default="timestamp", dest="timestamp_column")
-    p.add_argument("--label-column", default="label", dest="label_column")
-    p.add_argument("--positive-label", default=None, dest="positive_label")
-    p.add_argument("--categorical", default=None,
+    p.add_argument("--timestamp-column", dest="timestamp_column")
+    p.add_argument("--label-column", dest="label_column")
+    p.add_argument("--positive-label", dest="positive_label")
+    p.add_argument("--categorical", type=_names, dest="categorical_columns",
                    help="comma-separated categorical column overrides")
     p.add_argument("--out", required=True, help="output path (.csv or .json)")
     p.set_defaults(func=cmd_drift)
 
     p = sub.add_parser("surface", help="export the analytic metric surface")
     p.add_argument("--prevalence", type=float, required=True)
-    p.add_argument("--s-target", type=float, default=0.01, dest="s_target")
-    p.add_argument("--v-target", type=float, default=0.40, dest="v_target")
+    p.add_argument("--s-target", type=float, default=TargetSpec.s_target,
+                   dest="s_target")
+    p.add_argument("--v-target", type=float, default=TargetSpec.v_target,
+                   dest="v_target")
     p.add_argument("--resolution", type=int, required=True)
     p.add_argument("--out", required=True, help="output path (.csv or .json)")
     p.set_defaults(func=cmd_surface)

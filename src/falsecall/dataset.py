@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Optional, Sequence
@@ -112,6 +114,46 @@ class SplitPlan:
 
 
 # ---------------------------------------------------------------------------
+# File access
+
+
+@contextmanager
+def _csv_reader(path):
+    """``csv.reader`` streaming the rows of a UTF-8 CSV file.
+
+    A file that cannot be opened, is not UTF-8 or is not CSV raises
+    ``IngestionError`` naming the file, also part-way through the rows.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            yield csv.reader(handle)
+    except OSError as exc:
+        raise IngestionError(f"cannot open {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise IngestionError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def _atomic_output(path):
+    """Text handle whose content replaces ``path`` only once fully written.
+
+    Writes go to a sibling temporary file that ``os.replace`` moves onto
+    ``path``; if writing fails part-way the temporary file is deleted and
+    ``path`` is left as it was, so no output ever looks complete when it is
+    not.  Text is written as given, with no newline translation.
+    """
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", newline="", encoding="utf-8") as handle:
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        if os.path.exists(temporary):
+            os.remove(temporary)
+        raise
+
+
+# ---------------------------------------------------------------------------
 # CSV ingestion
 
 
@@ -134,8 +176,8 @@ def _is_float(text: str) -> bool:
         return False
 
 
-def load_csv(path, timestamp_column: str, label_column: str,
-             positive_label: Optional[str] = None,
+def load_csv(path, timestamp_column: str = "timestamp",
+             label_column: str = "label", positive_label: Optional[str] = None,
              categorical_columns: Optional[Sequence[str]] = None,
              missing: str = "reject") -> Dataset:
     """Load a UTF-8, header-row CSV into a Dataset.
@@ -150,17 +192,11 @@ def load_csv(path, timestamp_column: str, label_column: str,
     """
     if missing not in ("reject", "impute"):
         raise InputError(f"missing policy must be 'reject' or 'impute', got {missing!r}")
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise IngestionError(f"cannot open {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: file is empty") from None
+    with _csv_reader(path) as reader:
+        header = next(reader, None)
         rows = list(reader)
+    if header is None:
+        raise IngestionError(f"{path}: file is empty")
 
     for required in (timestamp_column, label_column):
         if required not in header:
@@ -245,7 +281,7 @@ def _format_number(x: float) -> str:
 
 def write_csv(ds: Dataset, path) -> None:
     """Write a Dataset back to CSV; floats use repr so reloads are exact."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with _atomic_output(path) as handle:
         writer = csv.writer(handle)
         names = [spec.name for spec in ds.schema]
         writer.writerow([ds.timestamp_name] + names + [ds.label_name])
@@ -373,14 +409,7 @@ def chrono_split(ds: Dataset, seed: int) -> SplitPlan:
     hyper = np.sort(np.concatenate(hyper_parts))
     test = np.setdiff1d(np.arange(n_first), hyper)
 
-    n_second = n - n_first
-    base, remainder = divmod(n_second, 5)
-    sizes = [base + (1 if i < remainder else 0) for i in range(5)]
-    slices = []
-    start = n_first
-    for size in sizes:
-        slices.append(np.arange(start, start + size))
-        start += size
+    slices = np.array_split(np.arange(n_first, n), 5)
     return SplitPlan(hyper_indices=hyper, test_indices=test, slice_indices=slices)
 
 

@@ -18,7 +18,6 @@ so the two can be compared side by side from their reports.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -30,7 +29,7 @@ from .classifiers import ClassifierSpec, HyperParamSpace, TrainedModel
 from .curves import (OperatingCurve, auc_pr, best_youden, constrained_auc,
                      select_threshold, sweep_thresholds, volume_at_target_slip)
 from .dataset import Dataset, EncodedMatrix, FeatureEncoder, SplitPlan, \
-    chrono_split, stratified_kfold
+    _csv_reader, chrono_split, stratified_kfold
 from .errors import (FalseCallError, IngestionError, InputError,
                      UndefinedRateError)
 from .metrics import (SENTINEL_THRESHOLD, MetricReport, TargetSpec,
@@ -401,16 +400,10 @@ class ExternalEvaluation:
 
 def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Read a score export: header with score,label[,timestamp] columns."""
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise IngestionError(f"cannot open {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: file is empty") from None
+    with _csv_reader(path) as reader:
+        header = next(reader, None)
+        if header is None:
+            raise IngestionError(f"{path}: file is empty")
         for required in ("score", "label"):
             if required not in header:
                 raise IngestionError(f"{path}: missing column {required!r}")

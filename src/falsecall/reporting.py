@@ -20,9 +20,9 @@ from typing import Optional
 
 from .curves import (OperatingCurve, constrained_auc_case,
                      volume_at_target_slip)
+from .dataset import _atomic_output
 from .errors import InputError
 from .metrics import MetricReport, MetricSurface, TargetSpec
-from .experiment import SeedAggregate
 
 #: Column aliases accepted by :func:`render_table` (case-insensitive).
 _ALIASES = {
@@ -228,7 +228,7 @@ def write_bundle(bundle: ReportBundle, out_dir) -> str:
         files["surface.csv"] = bundle.surface_csv
         files["surface.json"] = dump_json(bundle.surface_json)
     for name, content in files.items():
-        with open(os.path.join(target, name), "w", encoding="utf-8") as handle:
+        with _atomic_output(os.path.join(target, name)) as handle:
             handle.write(content)
     return target
 

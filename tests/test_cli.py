@@ -112,6 +112,13 @@ class TestEvaluate:
         assert run_cli(["evaluate", "--scores", str(tmp_path / "nope.csv"),
                         *TARGET_FLAGS, "--out", str(tmp_path / "out")]) == 1
 
+    def test_non_utf8_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"score,label\n0.5,1\n\xff,0\n")
+        assert run_cli(["evaluate", "--scores", str(path), *TARGET_FLAGS,
+                        "--out", str(tmp_path / "out")]) == 1
+        assert "s.csv" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threshold", [[], ["--threshold", "0.5"]])
     def test_more_slices_than_rows_exits_one(self, tmp_path, capsys, threshold):
         scores = write_scores(tmp_path / "s.csv", ["0.9,1,0", "0.1,0,1", "0.3,0,2"],
@@ -162,6 +169,41 @@ class TestExperiment:
         for key in ("budget", "s_target", "synthetic.n_rows", "space.knn.k"):
             assert f"key {key!r}" in message
 
+    @pytest.mark.parametrize("key", ["space.forest", "space."])
+    def test_space_key_without_parameter_rejected(self, tmp_path, capsys, key):
+        config = experiment_config(tmp_path, **{key: "1:2"})
+        assert run_cli(["experiment", "--config", config,
+                        "--out", str(tmp_path / "out")]) == 1
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    def test_every_mistake_reported_at_once(self, tmp_path, capsys):
+        path = tmp_path / "config.txt"
+        path.write_text("models = dummy, xgboost\ndata = synthetic\n"
+                        "budget = many\nsynthetic.prevalence = 0.1\n"
+                        "synthetic.windows = 0-1\nspace.knn.q = 1:3\n")
+        assert run_cli(["experiment", "--config", str(path),
+                        "--out", str(tmp_path / "out")]) == 1
+        message = capsys.readouterr().err
+        assert message.count("\n") == 1
+        for part in ("key 'budget'", "key 'synthetic.windows'",
+                     "missing key 'synthetic.n_rows'",
+                     "unknown key 'space.knn.q'", "xgboost"):
+            assert part in message
+
+    @pytest.mark.parametrize("bad_file", ["config", "csv.path"])
+    def test_non_utf8_file_exits_one(self, tmp_path, capsys, bad_file):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"timestamp,x,label\n0,\xff,0\n")
+        config = experiment_config(tmp_path, data="csv",
+                                   **{"csv.path": str(data)})
+        if bad_file == "config":
+            with open(config, "ab") as handle:
+                handle.write(b"# \xff\n")
+        assert run_cli(["experiment", "--config", config,
+                        "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert ("config.txt" if bad_file == "config" else "data.csv") in err
+
     def test_unknown_model_kind_rejected(self, tmp_path, capsys):
         config = experiment_config(tmp_path, models="dummy, xgboost")
         assert run_cli(["experiment", "--config", config,
@@ -189,6 +231,26 @@ class TestGenerate:
         config.write_text("n_rows = 300\nprevalence = 0.1\nwat = 1\n")
         assert run_cli(["generate", "--config", str(config),
                         "--out", str(tmp_path / "d.csv")]) == 1
+
+
+    def test_problems_reported_together(self, tmp_path, capsys):
+        config = tmp_path / "gen.txt"
+        config.write_text("n_rows = 3x\nwindows = 0:1:2\nwat = 1\n")
+        assert run_cli(["generate", "--config", str(config),
+                        "--out", str(tmp_path / "d.csv")]) == 1
+        message = capsys.readouterr().err
+        for part in ("key 'n_rows'", "key 'windows'",
+                     "missing key 'prevalence'", "unknown key 'wat'"):
+            assert part in message
+        assert "missing key 'n_rows'" not in message
+
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "gen.txt"
+        config.write_bytes(b"n_rows = 300\nprevalence = 0.1\n# \xff\n")
+        assert run_cli(["generate", "--config", str(config),
+                        "--out", str(tmp_path / "d.csv")]) == 1
+        assert "gen.txt" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
 
 
 class TestSurface:
@@ -243,6 +305,14 @@ class TestDrift:
         payload = json.loads(out.read_text())
         assert len(payload["rows"]) == 300
         assert {r["label"] for r in payload["rows"]} == {0, 1}
+
+
+    def test_non_utf8_data_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"timestamp,x,y,label\n0,1,2,0\n1,\xff,3,1\n")
+        assert run_cli(["drift", "--data", str(data),
+                        "--out", str(tmp_path / "proj.csv")]) == 1
+        assert "data.csv" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -94,6 +94,24 @@ class TestLoadCsv:
             else:
                 assert list(back.columns[spec.name]) == list(ds.columns[spec.name])
 
+    def test_interrupted_write_leaves_old_file(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("interrupted")
+
+        ds = generate_synthetic(SyntheticConfig(n_rows=120, prevalence=0.2, seed=5))
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        ds.columns["source"][60] = Unprintable()
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_csv(ds, path)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        ds.columns["source"][60] = "c0"
+        write_csv(ds, path)
+        assert load_csv(path).n_rows == 120
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
 
 class TestOneHot:
     def _categorical_ds(self, values, labels=None):

@@ -1,7 +1,9 @@
-"""Randomised checks against reference implementations.
+"""Randomised checks against reference implementations and bad input.
 
 score_report's curve metrics are checked against brute force, and forest
-training against the per-node argsort grower in ``reference_forest``.
+training against the per-node argsort grower in ``reference_forest``.  The
+config and score-file readers are fed near-miss keys, malformed values and
+arbitrary bytes: they must either succeed or raise ``InputError``.
 """
 
 import numpy as np
@@ -9,8 +11,11 @@ import pytest
 
 from falsecall.classifiers import (BALANCED_RANDOM_FOREST, RANDOM_FOREST,
                                    ClassifierSpec, _train_forest)
+from falsecall.cli import load_experiment_setup
 from falsecall.curves import select_threshold, sweep_thresholds
-from falsecall.experiment import score_report
+from falsecall.dataset import SyntheticConfig, generate_synthetic, write_csv
+from falsecall.errors import InputError
+from falsecall.experiment import ExperimentConfig, read_scores_csv, score_report
 from falsecall.metrics import TargetSpec
 from tests.reference_forest import reference_train_forest
 from tests.test_curves import (oracle_auc_pr, oracle_cauc, oracle_points,
@@ -115,3 +120,100 @@ def test_presorted_forest_equals_reference_grower(case):
         for key, array in reference.items():
             assert tree[key].dtype == array.dtype
             assert tree[key].tobytes() == array.tobytes(), key
+
+
+# ---------------------------------------------------------------------------
+# Input fuzzing
+
+#: Values that parse, per known key; numbers stay small so that every config
+#: that parses is cheap to materialise.
+GOOD_VALUES = {
+    "run_id": ["r"], "models": ["dummy", "knn, random_forest"],
+    "regime": ["standard", "requirement_aware"], "s_target": ["0.05"],
+    "v_target": ["0.4"], "optimizer": ["random", "surrogate"],
+    "budget": ["1", "3"], "k_folds": ["2", "5"], "base_seed": ["0", "7"],
+    "n_seeds": ["1", "2"], "data": ["synthetic", "csv"],
+    "csv.path": ["DATA", "BAD_BYTES", "MISSING"],
+    "csv.timestamp_column": ["timestamp", "x0"], "csv.label_column": ["label"],
+    "csv.positive_label": ["1"], "csv.categorical_columns": ["source", "x1, source"],
+    "synthetic.n_rows": ["2", "300", "5000"],
+    "synthetic.prevalence": ["0.01", "0.2"], "synthetic.n_clusters": ["1", "2", "4"],
+    "synthetic.windows": ["0:1", "0:0.5, 0.5:1", "0:1, 0:1"],
+    "synthetic.drift_strength": ["0", "4.5"], "synthetic.noise": ["1"],
+    "synthetic.n_features": ["2", "8"], "synthetic.seed": ["0", "3"],
+    "space.forest.n_trees": ["10:12"], "space.forest.max_depth": ["2:4"],
+    "space.forest.min_leaf": ["1:5"], "space.knn.k": ["1:5"],
+}
+NEAR_MISS_KEYS = ["space.forest", "space.", "space.knn", "csv", "csv.",
+                  "space.knn.q", "space.dummy.k", "synthetic.windows.x", "Models"]
+MALFORMED_VALUES = ["", "x", "-3", "0", "1.5", "1e3", "nan", "inf", ":", "1:",
+                    "5:1", "1:2:3", "0:x", ",", "a, ,b", "0:1,"]
+VALID_BASE = {"models": "dummy", "data": "synthetic",
+              "synthetic.n_rows": "300", "synthetic.prevalence": "0.1"}
+
+
+def _mostly(draw, usual, rare):
+    """``usual`` three times in four, else ``rare``."""
+    return draw(usual if draw(st.integers(0, 3)) else rare)
+
+
+@st.composite
+def config_files(draw):
+    """Config bytes: mostly a valid base, entries from known and near-miss
+    keys with mostly good values, and rarely a line of raw bytes."""
+    entries = _mostly(draw, st.just(VALID_BASE), st.just({})).copy()
+    for _ in range(draw(st.integers(0, 8))):
+        key = draw(st.sampled_from(sorted(GOOD_VALUES) + NEAR_MISS_KEYS))
+        entries[key] = _mostly(draw, st.sampled_from(GOOD_VALUES.get(key, ["1:2"])),
+                               st.sampled_from(MALFORMED_VALUES))
+    text = "".join(f"{key} = {value}\n" for key, value in entries.items())
+    return text.encode() + _mostly(draw, st.just(b""), st.binary(max_size=12))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    write_csv(generate_synthetic(SyntheticConfig(n_rows=200, prevalence=0.2)),
+              directory / "data.csv")
+    (directory / "bad.csv").write_bytes(b"timestamp,x0,label\n0,\xff,0\n")
+    return directory
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.example(b"models = dummy\ndata = synthetic\nsynthetic.n_rows = 300\n"
+                    b"synthetic.prevalence = 0.1\nspace.forest = 1:2\n")
+@hypothesis.example(b"models = dummy\ndata = synthetic\n\xff = 1\n")
+@hypothesis.given(config_files())
+def test_config_reader_returns_or_rejects(fuzz_dir, content):
+    paths = {"DATA": fuzz_dir / "data.csv", "BAD_BYTES": fuzz_dir / "bad.csv",
+             "MISSING": fuzz_dir / "absent.csv"}
+    for name, path in paths.items():
+        content = content.replace(name.encode(), str(path).encode())
+    config_path = fuzz_dir / "config.txt"
+    config_path.write_bytes(content)
+    try:
+        config, dataset, _ = load_experiment_setup(config_path)
+    except InputError:
+        return
+    assert isinstance(config, ExperimentConfig)
+    assert dataset.n_rows >= 2
+
+
+SCORE_LINES = [b"0.5,1", b"0.25,0,3", b"1,0", b"0.5", b"nan,1", b"2,0", b"0.5,2",
+               b'"0.5",1', b"0.5,1,x", b",", b""]
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.example([b"score,label", b"0.5,1", b"\xff,0"])
+@hypothesis.given(st.lists(st.sampled_from([b"score,label", b"label,score,timestamp"])
+                           | st.sampled_from(SCORE_LINES) | st.binary(max_size=12),
+                           max_size=8))
+def test_score_reader_returns_or_rejects(fuzz_dir, lines):
+    path = fuzz_dir / "scores.csv"
+    path.write_bytes(b"\n".join(lines))
+    try:
+        scores, labels, _ = read_scores_csv(path)
+    except InputError:
+        return
+    assert scores.shape == labels.shape and scores.size > 0
+    assert np.all((scores >= 0) & (scores <= 1)) and set(labels) <= {0, 1}
