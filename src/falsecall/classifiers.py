@@ -27,7 +27,7 @@ import numpy as np
 
 from .dataset import EncodedMatrix, _atomic_output
 from .errors import InputError, StateError
-from .metrics import SENTINEL_THRESHOLD
+from .metrics import SENTINEL_THRESHOLD, _json_safe
 from .seeding import rng_for
 
 DUMMY = "dummy"
@@ -407,22 +407,6 @@ def classify(model: TrainedModel, rows: Union[EncodedMatrix, np.ndarray]) -> np.
 # Persistence
 
 
-def _encode_threshold(value: Optional[float]):
-    if value is None:
-        return None
-    if math.isinf(value):
-        return "inf"
-    return float(value)
-
-
-def _decode_threshold(value):
-    if value is None:
-        return None
-    if value == "inf":
-        return SENTINEL_THRESHOLD
-    return float(value)
-
-
 def save_model(model: TrainedModel, path) -> None:
     """Persist as a self-describing, versioned JSON document."""
     state = model.state
@@ -441,7 +425,7 @@ def save_model(model: TrainedModel, path) -> None:
         "kind": model.spec.kind,
         "hyperparameters": model.spec.hyperparameters,
         "seed": model.spec.seed,
-        "decision_threshold": _encode_threshold(model.decision_threshold),
+        "decision_threshold": _json_safe(model.decision_threshold),
         "metadata": model.metadata,
         "state": state,
     }
@@ -472,7 +456,8 @@ def load_model(path) -> TrainedModel:
         state = {"k": int(state["k"]), "mean": np.array(state["mean"]),
                  "std": np.array(state["std"]), "X": np.array(state["X"]),
                  "y": np.array(state["y"], dtype=np.int64)}
-    return TrainedModel(spec=spec, state=state,
-                        decision_threshold=_decode_threshold(
-                            document["decision_threshold"]),
+    threshold = document["decision_threshold"]
+    if threshold is not None:
+        threshold = float(threshold)
+    return TrainedModel(spec=spec, state=state, decision_threshold=threshold,
                         metadata=document["metadata"])

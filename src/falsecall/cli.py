@@ -15,25 +15,21 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import os
 import sys
 import traceback
 from typing import Optional
 
 from .classifiers import BALANCED_RANDOM_FOREST, HyperParamSpace, KINDS, \
     KNN, RANDOM_FOREST
-from .dataset import (Dataset, SyntheticConfig, _atomic_output,
-                      generate_synthetic, load_csv, one_hot_fit_transform,
-                      pca2d, write_csv)
+from .dataset import (Dataset, SyntheticConfig, generate_synthetic, load_csv,
+                      one_hot_fit_transform, pca2d, write_csv)
 from .errors import FalseCallError, IngestionError, InputError
 from .experiment import (EVAL_SETS, ExperimentConfig, evaluate_external,
                          run_multi_seed, verdict)
-from .metrics import MetricReport, TargetSpec, metric_surface
-from .reporting import (build_bundle, dump_json, export_curve, export_surface,
-                        report_to_json, write_bundle)
-
-NO_THRESHOLD_MARK = "n/a (no a-priori threshold)"
-_THRESHOLD_METRICS = MetricReport.METRIC_KEYS[:8]
+from .metrics import TargetSpec, metric_surface
+from .reporting import (NO_THRESHOLD_MARK, _shown, build_bundle,
+                        evaluation_files, export_projection, export_surface,
+                        write_bundle, write_export, write_files)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,41 +198,11 @@ def load_experiment_setup(path) -> tuple[ExperimentConfig, Dataset, dict]:
 # Subcommands
 
 
-def _report_csv_row(report, label: str) -> list:
-    cells = [label]
-    for key in MetricReport.METRIC_KEYS:
-        value = report.metric(key)
-        if value is None:
-            cells.append(NO_THRESHOLD_MARK if key in _THRESHOLD_METRICS
-                         and report.threshold is None else "n/a")
-        else:
-            cells.append(f"{value:.3f}")
-    return cells
-
-
 def cmd_evaluate(args) -> int:
     targets = TargetSpec(s_target=args.s_target, v_target=args.v_target)
     result = evaluate_external(args.scores, targets, threshold=args.threshold,
                                n_slices=args.slices_by_timestamp)
-    os.makedirs(args.out, exist_ok=True)
-
-    lines = [",".join(("eval_set",) + MetricReport.METRIC_KEYS)]
-    lines.append(",".join(_report_csv_row(result.report, "overall")))
-    rows = [{"eval_set": "overall", **report_to_json(result.report)}]
-    if result.slice_reports:
-        for i, slice_report in enumerate(result.slice_reports, 1):
-            lines.append(",".join(_report_csv_row(slice_report, f"slice{i}")))
-            rows.append({"eval_set": f"slice{i}", **report_to_json(slice_report)})
-    with _atomic_output(os.path.join(args.out, "table.csv")) as handle:
-        handle.write("\n".join(lines) + "\n")
-    table = {"rows": rows,
-             "targets": {"s_target": targets.s_target, "v_target": targets.v_target},
-             "threshold_supplied": args.threshold is not None}
-    with _atomic_output(os.path.join(args.out, "table.json")) as handle:
-        handle.write(dump_json(table))
-    if result.report.curve is not None:
-        with _atomic_output(os.path.join(args.out, "curve.json")) as handle:
-            handle.write(dump_json(export_curve(result.report.curve, targets)))
+    write_files(args.out, evaluation_files(result, targets, args.threshold is not None))
     print(f"evaluated {result.report.n_rows} rows "
           f"({result.report.n_positives} defects) -> {args.out}")
     return 0
@@ -260,9 +226,7 @@ def cmd_experiment(args) -> int:
     target = write_bundle(bundle, args.out)
     for entry in verdicts:
         status = "PASS" if entry["passed"] else "FAIL"
-        mean_cv = entry["mean_cv"]
-        shown = "n/a" if mean_cv is None else f"{mean_cv:.3f}"
-        print(f"{entry['kind']}: {status} mean test cv={shown} "
+        print(f"{entry['kind']}: {status} mean test cv={_shown(entry['mean_cv'])} "
               f"(seeds passing {entry['seeds_passing']}/{entry['seeds_total']})")
     print(f"reports written to {target}", file=sys.stderr)
     return 0
@@ -287,19 +251,7 @@ def cmd_drift(args) -> int:
             "timestamp_column", "label_column", "positive_label",
             "categorical_columns")})
     matrix, _ = one_hot_fit_transform(dataset)
-    projection = pca2d(matrix)
-    with _atomic_output(args.out) as handle:
-        if str(args.out).endswith(".json"):
-            handle.write(dump_json({
-                "explained_variance": [float(x) for x in
-                                       projection.explained_variance],
-                "rows": [{"pc1": x, "pc2": y, "row_index": i, "label": l}
-                         for x, y, i, l in projection.rows()],
-            }))
-        else:
-            handle.write("pc1,pc2,row_index,label\n")
-            for x, y, i, l in projection.rows():
-                handle.write(f"{x!r},{y!r},{i},{l}\n")
+    write_export(args.out, *export_projection(pca2d(matrix)))
     print(f"projected {matrix.n_rows} rows -> {args.out}")
     return 0
 
@@ -307,11 +259,7 @@ def cmd_drift(args) -> int:
 def cmd_surface(args) -> int:
     targets = TargetSpec(s_target=args.s_target, v_target=args.v_target)
     surface = metric_surface(args.prevalence, args.resolution, targets)
-    surface_csv, surface_json = export_surface(surface)
-    content = (dump_json(surface_json) if str(args.out).endswith(".json")
-               else surface_csv)
-    with _atomic_output(args.out) as handle:
-        handle.write(content)
+    write_export(args.out, *export_surface(surface))
     print(f"wrote {args.resolution}x{args.resolution} surface to {args.out}")
     return 0
 

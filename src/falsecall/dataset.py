@@ -140,16 +140,19 @@ def _atomic_output(path):
     Writes go to a sibling temporary file that ``os.replace`` moves onto
     ``path``; if writing fails part-way the temporary file is deleted and
     ``path`` is left as it was, so no output ever looks complete when it is
-    not.  Text is written as given, with no newline translation.
+    not.  Text is written as given, with no newline translation.  A path
+    that cannot be written raises ``InputError`` naming it.
     """
     temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(temporary, "w", newline="", encoding="utf-8") as handle:
             yield handle
         os.replace(temporary, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(temporary):
             os.remove(temporary)
+        if isinstance(exc, OSError):
+            raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -477,13 +480,15 @@ class SyntheticConfig:
             raise InputError("need one activity window per cluster")
         if self.n_features < 2:
             raise InputError("n_features must be >= 2")
-        if self.noise <= 0:
-            raise InputError("noise must be positive")
+        if not 0 < self.noise < math.inf:
+            raise InputError(f"noise must be positive and finite, got {self.noise}")
+        if not math.isfinite(self.drift_strength):
+            raise InputError(f"drift_strength must be finite, got {self.drift_strength}")
         if self.cluster_margin_scales is not None:
             if len(self.cluster_margin_scales) != self.n_clusters:
                 raise InputError("need one margin scale per cluster")
-            if any(scale < 0 for scale in self.cluster_margin_scales):
-                raise InputError("margin scales must be non-negative")
+            if not all(0 <= scale < math.inf for scale in self.cluster_margin_scales):
+                raise InputError("cluster_margin_scales must be non-negative and finite")
         windows = sorted(self.cluster_windows)
         for a, b in windows:
             if not (0.0 <= a < b <= 1.0):

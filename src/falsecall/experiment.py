@@ -167,6 +167,8 @@ def score_report(scores: Sequence[float], labels: Sequence[int],
     so thin evaluation slices degrade gracefully.  ``report.curve`` keeps the
     operating curve the curve metrics came from.
     """
+    if threshold is not None and math.isnan(threshold):
+        raise InputError("threshold must be a number, got nan")
     scores, labels = validated_inputs(scores, labels)
     report = MetricReport(threshold=threshold,
                           n_rows=int(labels.size),
@@ -412,8 +414,12 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
         ts_col = header.index("timestamp") if "timestamp" in header else None
         scores, labels, stamps = [], [], []
         problems = []
+        width = len(header)
         for i, row in enumerate(reader):
             line_no = i + 2
+            if len(row) != width:
+                problems.append(f"line {line_no}: expected {width} fields, got {len(row)}")
+                continue
             try:
                 value = float(row[score_col])
                 label = int(row[label_col])
@@ -423,7 +429,7 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
                     raise ValueError(f"label {label} not in {{0, 1}}")
                 if ts_col is not None:
                     stamps.append(float(row[ts_col]))
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 problems.append(f"line {line_no}: {exc}")
                 continue
             scores.append(value)

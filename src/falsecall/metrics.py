@@ -36,6 +36,13 @@ if TYPE_CHECKING:
 SENTINEL_THRESHOLD = math.inf
 
 
+def _json_safe(value):
+    """``value`` for strict JSON: an infinity is spelled ``"inf"``/``"-inf"``."""
+    if isinstance(value, float) and math.isinf(value):
+        return str(value)
+    return value
+
+
 @dataclass(frozen=True)
 class ConfusionCounts:
     """Outcome counts of binary predictions at one fixed threshold."""

@@ -1,28 +1,32 @@
-"""Machine-readable renderings of experiment results.
+"""Every output file's content, and the one writer that puts it on disk.
 
-Tables, curve geometry, timelines and metric surfaces are emitted as paired
-CSV (three-decimal display) and JSON (full precision, sorted keys).  Every
-numeric cell carries its provenance: the evaluation set and how many seeds
-defined it.  Rounding is display-only; downstream comparisons should parse
-the JSON.  File layout under an output directory is
-``<run-id>/<table|curve|timeline|surface>.<csv|json>``.
+Tables, curve geometry, timelines, metric surfaces and projections are
+emitted as paired CSV (three-decimal display) and JSON (full precision,
+sorted keys).  Every numeric cell carries its provenance: the evaluation set
+and how many seeds defined it.  Rounding is display-only; downstream
+comparisons should parse the JSON.  File layout under an output directory
+is ``<run-id>/<table|curve|timeline|surface>.<csv|json>``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .curves import (OperatingCurve, constrained_auc_case,
                      volume_at_target_slip)
-from .dataset import _atomic_output
+from .dataset import Pca2dResult, _atomic_output
 from .errors import InputError
-from .metrics import MetricReport, MetricSurface, TargetSpec
+from .metrics import MetricReport, MetricSurface, TargetSpec, _json_safe
+
+NO_THRESHOLD_MARK = "n/a (no a-priori threshold)"
+#: The metrics that only a decision threshold defines.
+_THRESHOLD_METRICS = MetricReport.METRIC_KEYS[:8]
 
 #: Column aliases accepted by :func:`render_table` (case-insensitive).
 _ALIASES = {
@@ -49,18 +53,9 @@ def canonical_metric(name: str) -> str:
     return _ALIASES[key]
 
 
-def _json_safe(value):
-    if value is None:
-        return None
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return value
-
-
-def _cell(mean: Optional[float], std: Optional[float]) -> str:
-    if mean is None:
-        return "n/a"
-    return f"{mean:.3f}±{std:.3f}"
+def _shown(value: Optional[float], missing: str = "n/a") -> str:
+    """A CSV cell: three decimals, or ``missing`` where the value is undefined."""
+    return missing if value is None else f"{value:.3f}"
 
 
 def render_table(aggregates: dict, columns=DEFAULT_COLUMNS) -> tuple[str, dict]:
@@ -83,7 +78,7 @@ def render_table(aggregates: dict, columns=DEFAULT_COLUMNS) -> tuple[str, dict]:
             json_metrics = {}
             for key in metric_keys:
                 mean, std, n = aggregate.mean_std(eval_set, key)
-                csv_row.append(_cell(mean, std))
+                csv_row.append(_shown(mean) if mean is None else f"{mean:.3f}±{std:.3f}")
                 json_metrics[key] = {"mean": mean, "std": std, "n": n}
             writer.writerow(csv_row)
             rows.append({"model": kind, "eval_set": eval_set,
@@ -125,62 +120,93 @@ def export_timeline(aggregates: dict) -> tuple[str, dict]:
     for kind, aggregate in aggregates.items():
         series = []
         for eval_set in aggregate.reports:
-            slip_mean, slip_std, slip_n = aggregate.mean_std(eval_set, "slip_rate")
-            v_mean, v_std, v_n = aggregate.mean_std(eval_set, "volume_reduction")
-            writer.writerow([
-                kind, eval_set,
-                "n/a" if slip_mean is None else f"{slip_mean:.3f}",
-                "n/a" if slip_std is None else f"{slip_std:.3f}",
-                "n/a" if v_mean is None else f"{v_mean:.3f}",
-                "n/a" if v_std is None else f"{v_std:.3f}",
-                len(aggregate.seeds)])
-            series.append({"eval_set": eval_set,
-                           "slip_rate": {"mean": slip_mean, "std": slip_std,
-                                         "n": slip_n},
-                           "volume_reduction": {"mean": v_mean, "std": v_std,
-                                                "n": v_n}})
+            slip, volume = (dict(zip(("mean", "std", "n"),
+                                     aggregate.mean_std(eval_set, key)))
+                            for key in ("slip_rate", "volume_reduction"))
+            writer.writerow([kind, eval_set, _shown(slip["mean"]), _shown(slip["std"]),
+                             _shown(volume["mean"]), _shown(volume["std"]),
+                             len(aggregate.seeds)])
+            series.append({"eval_set": eval_set, "slip_rate": slip,
+                           "volume_reduction": volume})
         models[kind] = {"series": series, "n_seeds": len(aggregate.seeds)}
     return buffer.getvalue(), {"models": models}
 
 
 def export_surface(surface: MetricSurface) -> tuple[str, dict]:
     """Flat cell listing of a metric surface, CSV and JSON."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["s", "v", "accuracy", "f1", "cv"])
-    for i, s in enumerate(surface.s_values):
-        for j, v in enumerate(surface.v_values):
-            writer.writerow([f"{s:.6f}", f"{v:.6f}",
-                             f"{surface.accuracy[i, j]:.6f}",
-                             f"{surface.f1[i, j]:.6f}",
-                             f"{surface.cv[i, j]:.6f}"])
+    csv_text = "s,v,accuracy,f1,cv\n" + "".join(
+        f"{s:.6f},{v:.6f},{a:.6f},{f:.6f},{c:.6f}\n"
+        for s, accuracy, f1, cv in zip(surface.s_values, surface.accuracy,
+                                       surface.f1, surface.cv)
+        for v, a, f, c in zip(surface.v_values, accuracy, f1, cv))
     payload = {
         "prevalence": surface.prevalence,
-        "targets": {"s_target": surface.targets.s_target,
-                    "v_target": surface.targets.v_target},
+        "targets": asdict(surface.targets),
         "s_values": [float(x) for x in surface.s_values],
         "v_values": [float(x) for x in surface.v_values],
         "accuracy": surface.accuracy.tolist(),
         "f1": surface.f1.tolist(),
         "cv": surface.cv.tolist(),
     }
-    return buffer.getvalue(), payload
+    return csv_text, payload
+
+
+def export_projection(projection: Pca2dResult) -> tuple[str, dict]:
+    """Each row's two principal-component coordinates, CSV and JSON."""
+    rows = projection.rows()
+    csv_text = "pc1,pc2,row_index,label\n" + "".join(
+        f"{x!r},{y!r},{i},{l}\n" for x, y, i, l in rows)
+    return csv_text, {
+        "explained_variance": [float(x) for x in projection.explained_variance],
+        "rows": [{"pc1": x, "pc2": y, "row_index": i, "label": l}
+                 for x, y, i, l in rows]}
+
+
+def render_reports(reports: dict, targets: TargetSpec,
+                   threshold_supplied: bool) -> tuple[str, dict]:
+    """The ``evaluate`` table, one row per ``{eval_set: MetricReport}`` entry.
+
+    A threshold metric undefined for want of a threshold shows
+    :data:`NO_THRESHOLD_MARK` rather than ``n/a``.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(("eval_set",) + MetricReport.METRIC_KEYS)
+    for eval_set, report in reports.items():
+        unset = NO_THRESHOLD_MARK if report.threshold is None else "n/a"
+        writer.writerow([eval_set] + [
+            _shown(report.metric(key), unset if key in _THRESHOLD_METRICS else "n/a")
+            for key in MetricReport.METRIC_KEYS])
+    return buffer.getvalue(), {
+        "rows": [{"eval_set": eval_set, **report_to_json(report)}
+                 for eval_set, report in reports.items()],
+        "targets": asdict(targets), "threshold_supplied": threshold_supplied}
+
+
+def _pair(stem: str, csv_text: str, payload) -> dict:
+    return {f"{stem}.csv": csv_text, f"{stem}.json": dump_json(payload)}
+
+
+def evaluation_files(result, targets: TargetSpec, threshold_supplied: bool) -> dict:
+    """The files of ``evaluate`` for an :class:`ExternalEvaluation`.
+
+    Without a curve (a single class), ``curve.json`` maps to ``None``, so
+    :func:`write_files` removes one an earlier run left behind.
+    """
+    reports = {"overall": result.report, **{
+        f"slice{i}": r for i, r in enumerate(result.slice_reports or (), 1)}}
+    curve = result.report.curve
+    return {**_pair("table", *render_reports(reports, targets, threshold_supplied)),
+            "curve.json": (None if curve is None
+                           else dump_json(export_curve(curve, targets)))}
 
 
 @dataclass
 class ReportBundle:
-    """Everything an experiment run writes, ready for serialisation."""
+    """Everything an experiment run writes, as ``{file name: text}``."""
 
     run_id: str
-    table_csv: str
-    table_json: dict
-    timeline_csv: str
-    timeline_json: dict
-    curves_json: dict
-    verdicts: list
-    surface_csv: Optional[str] = None
-    surface_json: Optional[dict] = None
-    provenance: dict = field(default_factory=dict)
+    files: dict
 
 
 def build_bundle(aggregates: dict, targets: TargetSpec, verdicts: list,
@@ -189,47 +215,48 @@ def build_bundle(aggregates: dict, targets: TargetSpec, verdicts: list,
     table_csv, table_json = render_table(aggregates)
     table_json["verdicts"] = verdicts
     table_json["provenance"] = provenance or {}
-    timeline_csv, timeline_json = export_timeline(aggregates)
-    curves = {}
-    for kind, aggregate in aggregates.items():
-        if aggregate.reference_curve is not None:
-            entry = export_curve(aggregate.reference_curve, targets)
-            entry["eval_set"] = "test"
-            entry["seed"] = aggregate.reference_seed
-            curves[kind] = entry
-    surface_csv = surface_json = None
+    curves = {kind: {**export_curve(aggregate.reference_curve, targets),
+                     "eval_set": "test", "seed": aggregate.reference_seed}
+              for kind, aggregate in aggregates.items()
+              if aggregate.reference_curve is not None}
+    files = {**_pair("table", table_csv, table_json),
+             **_pair("timeline", *export_timeline(aggregates)),
+             "curve.json": dump_json({"models": curves})}
     if surface is not None:
-        surface_csv, surface_json = export_surface(surface)
-    return ReportBundle(run_id=run_id, table_csv=table_csv,
-                        table_json=table_json, timeline_csv=timeline_csv,
-                        timeline_json=timeline_json,
-                        curves_json={"models": curves},
-                        verdicts=verdicts, surface_csv=surface_csv,
-                        surface_json=surface_json,
-                        provenance=provenance or {})
+        files.update(_pair("surface", *export_surface(surface)))
+    return ReportBundle(run_id=run_id, files=files)
 
 
 def dump_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def write_files(directory, files: dict) -> None:
+    """Write ``{name: text}`` under ``directory``; a ``None`` text deletes that file."""
+    try:
+        os.makedirs(directory, exist_ok=True)
+        for name, text in files.items():
+            path = os.path.join(directory, name)
+            if text is None:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path)
+                continue
+            with _atomic_output(path) as handle:
+                handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {exc.filename}: {exc.strerror}") from exc
+
+
+def write_export(path, csv_text: str, payload) -> None:
+    """Write ``payload`` as JSON if ``path`` ends in ``.json``, else ``csv_text``."""
+    with _atomic_output(path) as handle:
+        handle.write(dump_json(payload) if str(path).endswith(".json") else csv_text)
+
+
 def write_bundle(bundle: ReportBundle, out_dir) -> str:
     """Write all bundle files under ``<out_dir>/<run_id>/``; returns that path."""
     target = os.path.join(str(out_dir), bundle.run_id)
-    os.makedirs(target, exist_ok=True)
-    files = {
-        "table.csv": bundle.table_csv,
-        "table.json": dump_json(bundle.table_json),
-        "timeline.csv": bundle.timeline_csv,
-        "timeline.json": dump_json(bundle.timeline_json),
-        "curve.json": dump_json(bundle.curves_json),
-    }
-    if bundle.surface_csv is not None:
-        files["surface.csv"] = bundle.surface_csv
-        files["surface.json"] = dump_json(bundle.surface_json)
-    for name, content in files.items():
-        with _atomic_output(os.path.join(target, name)) as handle:
-            handle.write(content)
+    write_files(target, bundle.files)
     return target
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,17 @@ class TestPersistence:
         assert np.array_equal(score(model, test_m), score(back, test_m))
         assert back.decision_threshold == model.decision_threshold
         assert back.spec == model.spec
+
+    @pytest.mark.parametrize("threshold, spelled", [(math.inf, '"inf"'),
+                                                    (-math.inf, '"-inf"')])
+    def test_infinite_threshold_roundtrip(self, tmp_path, threshold, spelled):
+        train_m, _ = separable_matrices(n_train=40, n_test=4, seed=2)
+        model = train(ClassifierSpec(DUMMY, {}, seed=0), train_m)
+        model.decision_threshold = threshold
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert f'"decision_threshold": {spelled}' in path.read_text()
+        assert load_model(path).decision_threshold == threshold
 
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "nope.json"

@@ -129,6 +129,52 @@ class TestEvaluate:
         assert "n_slices=5 exceeds the 3 rows" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_infinite_threshold_keeps_its_sign(self, tmp_path):
+        scores = write_scores(tmp_path / "s.csv", ["0.9,1", "0.1,0", "0.3,0"])
+        out = tmp_path / "out"
+        assert run_cli(["evaluate", "--scores", scores, *TARGET_FLAGS,
+                        "--threshold=-inf", "--out", str(out)]) == 0
+        table = json.loads((out / "table.json").read_text())
+        assert table["rows"][0]["threshold"] == "-inf"
+        assert table["rows"][0]["volume_reduction"] == 0.0
+
+    def test_nan_threshold_exits_one(self, tmp_path, capsys):
+        scores = write_scores(tmp_path / "s.csv", ["0.9,1", "0.1,0", "0.3,0"])
+        out = tmp_path / "out"
+        assert run_cli(["evaluate", "--scores", scores, *TARGET_FLAGS,
+                        "--threshold=nan", "--out", str(out)]) == 1
+        assert "threshold must be a number, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_class_run_removes_stale_curve(self, tmp_path):
+        out = tmp_path / "out"
+        both = write_scores(tmp_path / "both.csv", ["0.9,1", "0.1,0", "0.3,0"])
+        assert run_cli(["evaluate", "--scores", both, *TARGET_FLAGS,
+                        "--out", str(out)]) == 0
+        assert (out / "curve.json").exists()
+        single = write_scores(tmp_path / "single.csv", ["0.9,0", "0.1,0"])
+        assert run_cli(["evaluate", "--scores", single, *TARGET_FLAGS,
+                        "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["table.csv", "table.json"]
+        assert json.loads((out / "table.json").read_text())["rows"][0]["n_rows"] == 2
+
+    @pytest.mark.parametrize("row, count", [("0.5", 1), ("0.5,1,7", 3)])
+    def test_row_with_wrong_field_count_exits_one(self, tmp_path, capsys, row, count):
+        scores = write_scores(tmp_path / "s.csv", ["0.9,1", row, "0.1,0"])
+        assert run_cli(["evaluate", "--scores", scores, *TARGET_FLAGS,
+                        "--out", str(tmp_path / "out")]) == 1
+        assert f"line 3: expected 2 fields, got {count}" in capsys.readouterr().err
+
+    def test_out_naming_a_file_exits_one(self, tmp_path, capsys):
+        scores = write_scores(tmp_path / "s.csv", ["0.9,1", "0.1,0", "0.3,0"])
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert run_cli(["evaluate", "--scores", scores, *TARGET_FLAGS,
+                        "--out", str(out)]) == 1
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert out.read_text() == "not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "taken"]
+
 
 class TestExperiment:
     def test_dummy_only_fails_verdict(self, tmp_path, capsys):
@@ -252,6 +298,16 @@ class TestGenerate:
         assert "gen.txt" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [("noise", "nan"),
+                                            ("drift_strength", "inf")])
+    def test_non_finite_setting_exits_one(self, tmp_path, capsys, key, value):
+        config = tmp_path / "gen.txt"
+        config.write_text(f"n_rows = 300\nprevalence = 0.1\n{key} = {value}\n")
+        assert run_cli(["generate", "--config", str(config),
+                        "--out", str(tmp_path / "d.csv")]) == 1
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
 
 class TestSurface:
     def test_resolution_three_has_nine_cells(self, tmp_path):
@@ -273,6 +329,15 @@ class TestSurface:
     def test_degenerate_resolution_exits_one(self, tmp_path):
         assert run_cli(["surface", "--prevalence", "0.01", "--resolution", "1",
                         "--out", str(tmp_path / "s.csv")]) == 1
+
+    def test_missing_directory_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "s.csv"
+        assert run_cli(["surface", "--prevalence", "0.01", "--resolution", "3",
+                        "--out", str(out)]) == 1
+        message = capsys.readouterr().err
+        assert f"error: cannot write {out}: " in message
+        assert ".tmp" not in message
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDrift:

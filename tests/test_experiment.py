@@ -45,6 +45,10 @@ def informative_dataset(n=1200, prevalence=0.1, margin=6.0, seed=0):
 
 
 class TestScoreReport:
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(InputError, match="threshold must be a number"):
+            score_report([0.2, 0.8], [0, 1], TARGETS, threshold=math.nan)
+
     def test_without_threshold_only_curve_metrics(self):
         rng = np.random.default_rng(0)
         scores = rng.random(50)
