@@ -383,17 +383,52 @@ def score(model: TrainedModel, rows: Union[EncodedMatrix, np.ndarray]) -> np.nda
     raise InputError(f"unknown classifier kind {kind!r}")
 
 
-def _score_knn(state: dict, X: np.ndarray, chunk: int = 256) -> np.ndarray:
+#: Size of the float64 ``(rows, n_train, n_features)`` difference temporary
+#: that one chunk of kNN scoring builds.
+_KNN_CHUNK_BYTES = 4 << 20
+
+
+def _knn_vote_table(state: dict, X: np.ndarray, k_max: int) -> np.ndarray:
+    """Neighbour votes of each row of ``X`` for every ``k <= k_max``, shape (rows, k_max).
+
+    Column ``k - 1`` is the ``k``-neighbour score: the positive share of the
+    training rows no farther than the k-th nearest, so rows tied with the
+    k-th all vote.  Ties within the ``k_max`` nearest are counted among
+    them; ties with the ``k_max``-th are counted over the whole row.  Rows
+    are scored in chunks of bounded memory; each squared distance sums the
+    same feature axis in the same order whatever the chunk, so every column
+    is bit-identical to scoring with that ``k`` alone.
+    """
     Xq = (X - state["mean"]) / state["std"]
-    Xt, y, k = state["X"], state["y"], state["k"]
-    out = np.empty(Xq.shape[0])
+    Xt, y = state["X"], state["y"]
+    chunk = max(1, _KNN_CHUNK_BYTES // max(1, Xt.nbytes))
+    ranks = np.arange(1, k_max + 1)
+    table = np.empty((Xq.shape[0], k_max))
     for start in range(0, Xq.shape[0], chunk):
         block = Xq[start:start + chunk]
         d2 = ((block[:, None, :] - Xt[None, :, :]) ** 2).sum(axis=2)
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        mask = d2 <= kth[:, None]
-        out[start:start + chunk] = (mask @ y) / mask.sum(axis=1)
-    return out
+        nearest = np.argpartition(d2, k_max - 1, axis=1)[:, :k_max]
+        dist = np.take_along_axis(d2, nearest, axis=1)
+        order = np.argsort(dist, axis=1, kind="stable")
+        dist = np.take_along_axis(dist, order, axis=1)
+        positives = y[np.take_along_axis(nearest, order, axis=1)].cumsum(axis=1)
+        # The k-neighbourhood ends with the last distance tied with the k-th.
+        last_of_run = np.ones(dist.shape, dtype=bool)
+        last_of_run[:, :-1] = dist[:, :-1] != dist[:, 1:]
+        counts = np.minimum.accumulate(
+            np.where(last_of_run, ranks, k_max)[:, ::-1], axis=1)[:, ::-1]
+        positives = np.take_along_axis(positives, counts - 1, axis=1)
+        edge = dist[:, -1:]
+        mask = d2 <= edge
+        at_edge = dist == edge
+        counts = np.where(at_edge, mask.sum(axis=1)[:, None], counts)
+        positives = np.where(at_edge, (mask @ y)[:, None], positives)
+        table[start:start + chunk] = positives / counts
+    return table
+
+
+def _score_knn(state: dict, X: np.ndarray) -> np.ndarray:
+    return _knn_vote_table(state, X, state["k"])[:, -1]
 
 
 def classify(model: TrainedModel, rows: Union[EncodedMatrix, np.ndarray]) -> np.ndarray:

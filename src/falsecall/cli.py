@@ -28,8 +28,8 @@ from .experiment import (EVAL_SETS, ExperimentConfig, evaluate_external,
                          run_multi_seed, verdict)
 from .metrics import TargetSpec, metric_surface
 from .reporting import (NO_THRESHOLD_MARK, _shown, build_bundle,
-                        evaluation_files, export_projection, export_surface,
-                        write_bundle, write_export, write_files)
+                        evaluation_files, write_bundle, write_export,
+                        write_files)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -251,7 +251,7 @@ def cmd_drift(args) -> int:
             "timestamp_column", "label_column", "positive_label",
             "categorical_columns")})
     matrix, _ = one_hot_fit_transform(dataset)
-    write_export(args.out, *export_projection(pca2d(matrix)))
+    write_export(args.out, pca2d(matrix))
     print(f"projected {matrix.n_rows} rows -> {args.out}")
     return 0
 
@@ -259,7 +259,7 @@ def cmd_drift(args) -> int:
 def cmd_surface(args) -> int:
     targets = TargetSpec(s_target=args.s_target, v_target=args.v_target)
     surface = metric_surface(args.prevalence, args.resolution, targets)
-    write_export(args.out, *export_surface(surface))
+    write_export(args.out, surface)
     print(f"wrote {args.resolution}x{args.resolution} surface to {args.out}")
     return 0
 

@@ -191,7 +191,8 @@ def load_csv(path, timestamp_column: str = "timestamp",
     the single remaining literal -> 0); without it the column must already
     contain 0/1.  ``missing="reject"`` fails on empty numeric cells with line
     numbers, ``missing="impute"`` stores them as NaN for the encoder to fill
-    from its fitted medians.
+    from its fitted medians.  Empty lines are skipped; line numbers in errors
+    are the file's own.
     """
     if missing not in ("reject", "impute"):
         raise InputError(f"missing policy must be 'reject' or 'impute', got {missing!r}")
@@ -211,10 +212,14 @@ def load_csv(path, timestamp_column: str = "timestamp",
     n = len(rows)
     timestamps = np.empty(n, dtype=float)
     raw_labels = []
+    blank = []
     for i, row in enumerate(rows):
         line_no = i + 2  # header is line 1
         if len(row) != len(header):
-            problems.append(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+            if row:
+                problems.append(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+            else:
+                blank.append(i)
             continue
         try:
             timestamps[i] = _parse_timestamp(row[col_of[timestamp_column]])
@@ -223,6 +228,12 @@ def load_csv(path, timestamp_column: str = "timestamp",
         raw_labels.append(row[col_of[label_column]])
     if problems:
         raise IngestionError(f"{path}: " + "; ".join(problems[:20]))
+    line_numbers = np.arange(2, n + 2)
+    if blank:
+        rows = [row for row in rows if row]
+        timestamps = np.delete(timestamps, blank)
+        line_numbers = np.delete(line_numbers, blank)
+        n = len(rows)
 
     distinct = sorted(set(raw_labels))
     if positive_label is not None:
@@ -253,7 +264,7 @@ def load_csv(path, timestamp_column: str = "timestamp",
         nonempty = [c for c in cells if c != ""]
         numeric = name not in forced_cat and all(_is_float(c) for c in nonempty)
         if numeric:
-            empties = [i + 2 for i, c in enumerate(cells) if c == ""]
+            empties = [int(line_numbers[i]) for i, c in enumerate(cells) if c == ""]
             if empties and missing == "reject":
                 shown = ", ".join(str(l) for l in empties[:10])
                 raise IngestionError(

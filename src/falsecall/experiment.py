@@ -245,7 +245,8 @@ def optimize_hyperparams(kind: str, space: HyperParamSpace,
     infeasible (no deployable slip-compliant point) are excluded from the
     threshold mean; a trial whose folds are all infeasible keeps the sentinel
     threshold and is marked undeployable.  Ties on mean performance go to the
-    earlier trial.
+    earlier trial.  kNN trials still train per fold, but read their scores
+    from one neighbour-vote table per fold, computed once for the call.
     """
     if regime not in REGIMES:
         raise InputError(f"unknown regime {regime!r}")
@@ -254,6 +255,22 @@ def optimize_hyperparams(kind: str, space: HyperParamSpace,
     if propose is None:
         propose = (_propose_surrogate if optimizer == OPTIMIZER_SURROGATE
                    else lambda sp, generator, history: sp.sample(generator))
+
+    # A kNN fold's standardised rows do not depend on k, so the first trial
+    # to score a fold keeps the neighbour votes of every k the space allows.
+    k_range = space.int_ranges.get("k")
+    knn_votes: dict[int, np.ndarray] = {}
+
+    def fold_scores(fold_index: int, model: TrainedModel,
+                    val: EncodedMatrix) -> np.ndarray:
+        if kind != classifiers.KNN:
+            return classifiers.score(model, val)
+        k = model.state["k"]
+        if fold_index not in knn_votes:
+            k_max = min(k_range[1], model.metadata["n_train"]) if k_range else k
+            knn_votes[fold_index] = classifiers._knn_vote_table(
+                model.state, val.X, k_max)
+        return knn_votes[fold_index][:, k - 1]
 
     history: list[TrialResult] = []
     best: Optional[TrialResult] = None
@@ -268,7 +285,7 @@ def optimize_hyperparams(kind: str, space: HyperParamSpace,
                 seed=derive_seed(seed, "trial", trial_index, "fold", fold_index))
             model = classifiers.train(spec, hyper_matrix.take(train_idx))
             val = hyper_matrix.take(val_idx)
-            val_scores = classifiers.score(model, val)
+            val_scores = fold_scores(fold_index, model, val)
             curve = sweep_thresholds(val_scores, val.labels)
             if regime == REGIME_STANDARD:
                 performances.append(auc_pr(val_scores, val.labels))
@@ -401,7 +418,10 @@ class ExternalEvaluation:
 
 
 def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Read a score export: header with score,label[,timestamp] columns."""
+    """Read a score export: header with score,label[,timestamp] columns.
+
+    Empty lines are skipped; line numbers in errors are the file's own.
+    """
     with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None:
@@ -418,7 +438,8 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
         for i, row in enumerate(reader):
             line_no = i + 2
             if len(row) != width:
-                problems.append(f"line {line_no}: expected {width} fields, got {len(row)}")
+                if row:
+                    problems.append(f"line {line_no}: expected {width} fields, got {len(row)}")
                 continue
             try:
                 value = float(row[score_col])

@@ -132,14 +132,16 @@ def export_timeline(aggregates: dict) -> tuple[str, dict]:
     return buffer.getvalue(), {"models": models}
 
 
-def export_surface(surface: MetricSurface) -> tuple[str, dict]:
-    """Flat cell listing of a metric surface, CSV and JSON."""
-    csv_text = "s,v,accuracy,f1,cv\n" + "".join(
+def _surface_csv(surface: MetricSurface) -> str:
+    return "s,v,accuracy,f1,cv\n" + "".join(
         f"{s:.6f},{v:.6f},{a:.6f},{f:.6f},{c:.6f}\n"
         for s, accuracy, f1, cv in zip(surface.s_values, surface.accuracy,
                                        surface.f1, surface.cv)
         for v, a, f, c in zip(surface.v_values, accuracy, f1, cv))
-    payload = {
+
+
+def _surface_payload(surface: MetricSurface) -> dict:
+    return {
         "prevalence": surface.prevalence,
         "targets": asdict(surface.targets),
         "s_values": [float(x) for x in surface.s_values],
@@ -148,18 +150,33 @@ def export_surface(surface: MetricSurface) -> tuple[str, dict]:
         "f1": surface.f1.tolist(),
         "cv": surface.cv.tolist(),
     }
-    return csv_text, payload
+
+
+def _projection_csv(projection: Pca2dResult) -> str:
+    return "pc1,pc2,row_index,label\n" + "".join(
+        f"{x!r},{y!r},{i},{l}\n" for x, y, i, l in projection.rows())
+
+
+def _projection_payload(projection: Pca2dResult) -> dict:
+    return {
+        "explained_variance": [float(x) for x in projection.explained_variance],
+        "rows": [{"pc1": x, "pc2": y, "row_index": i, "label": l}
+                 for x, y, i, l in projection.rows()]}
+
+
+#: The (CSV text, JSON payload) renderers of each value ``write_export`` takes.
+_EXPORT_FORMS = {MetricSurface: (_surface_csv, _surface_payload),
+                 Pca2dResult: (_projection_csv, _projection_payload)}
+
+
+def export_surface(surface: MetricSurface) -> tuple[str, dict]:
+    """Flat cell listing of a metric surface, CSV and JSON."""
+    return _surface_csv(surface), _surface_payload(surface)
 
 
 def export_projection(projection: Pca2dResult) -> tuple[str, dict]:
     """Each row's two principal-component coordinates, CSV and JSON."""
-    rows = projection.rows()
-    csv_text = "pc1,pc2,row_index,label\n" + "".join(
-        f"{x!r},{y!r},{i},{l}\n" for x, y, i, l in rows)
-    return csv_text, {
-        "explained_variance": [float(x) for x in projection.explained_variance],
-        "rows": [{"pc1": x, "pc2": y, "row_index": i, "label": l}
-                 for x, y, i, l in rows]}
+    return _projection_csv(projection), _projection_payload(projection)
 
 
 def render_reports(reports: dict, targets: TargetSpec,
@@ -247,10 +264,16 @@ def write_files(directory, files: dict) -> None:
         raise InputError(f"cannot write {exc.filename}: {exc.strerror}") from exc
 
 
-def write_export(path, csv_text: str, payload) -> None:
-    """Write ``payload`` as JSON if ``path`` ends in ``.json``, else ``csv_text``."""
+def write_export(path, value) -> None:
+    """Write a surface or projection as JSON if ``path`` ends in ``.json``, else CSV.
+
+    Only the form written is rendered.
+    """
+    to_csv, to_payload = _EXPORT_FORMS[type(value)]
+    text = (dump_json(to_payload(value)) if str(path).endswith(".json")
+            else to_csv(value))
     with _atomic_output(path) as handle:
-        handle.write(dump_json(payload) if str(path).endswith(".json") else csv_text)
+        handle.write(text)
 
 
 def write_bundle(bundle: ReportBundle, out_dir) -> str:

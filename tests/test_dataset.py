@@ -69,6 +69,27 @@ class TestLoadCsv:
         with pytest.raises(IngestionError, match="line"):
             load_csv(path, timestamp_column="ts", label_column="label")
 
+    @pytest.mark.parametrize("text", [
+        "ts,x,label\n0,1,0\n1,2,1\n2,3,0\n\n",
+        "ts,x,label\n0,1,0\n\n1,2,1\n\n\n2,3,0\n",
+    ], ids=["trailing", "mid-file"])
+    def test_blank_lines_are_skipped(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        ds = load_csv(path, timestamp_column="ts", label_column="label")
+        assert list(ds.timestamps) == [0.0, 1.0, 2.0]
+        assert list(ds.labels) == [0, 1, 0]
+        assert list(ds.columns["x"]) == [1.0, 2.0, 3.0]
+
+    def test_lines_after_a_blank_line_keep_their_numbers(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("ts,x,label\n0,1,0\n\n1,,1\n2,3\n")
+        with pytest.raises(IngestionError, match="line 5: expected 3 fields, got 2"):
+            load_csv(path, timestamp_column="ts", label_column="label")
+        path.write_text("ts,x,label\n0,1,0\n\n1,,1\n2,3,0\n")
+        with pytest.raises(IngestionError, match="values at lines 4$"):
+            load_csv(path, timestamp_column="ts", label_column="label")
+
     def test_impute_mode_keeps_nan_for_encoder(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("ts,x,label\n0,1,0\n1,,1\n2,3,0\n")

@@ -10,8 +10,9 @@ from falsecall.dataset import (NUMERIC, ColumnSpec, Dataset,
 from falsecall.errors import FalseCallError, IngestionError, InputError
 from falsecall.experiment import (REGIME_REQUIREMENT, REGIME_STANDARD,
                                   ExperimentConfig, evaluate_external,
-                                  optimize_hyperparams, run_multi_seed,
-                                  run_single_seed, score_report, verdict)
+                                  optimize_hyperparams, read_scores_csv,
+                                  run_multi_seed, run_single_seed,
+                                  score_report, verdict)
 from falsecall.metrics import SENTINEL_THRESHOLD, TargetSpec, confusion_counts, \
     constrained_volume
 from falsecall.reporting import render_table, dump_json
@@ -166,6 +167,31 @@ class TestOptimizeHyperparams:
         assert a.spec.hyperparameters == b.spec.hyperparameters
         space.validate(a.spec.hyperparameters)
 
+    def test_k_above_the_fold_training_rows_is_rejected_when_drawn(self):
+        matrix, _ = one_hot_fit_transform(informative_dataset(n=24, prevalence=0.5))
+        space = HyperParamSpace.default(KNN)  # k up to 51, folds train on 12 rows
+
+        def search(*ks):
+            proposals = iter({"k": k} for k in ks)
+            return optimize_hyperparams(KNN, space, matrix, REGIME_STANDARD,
+                                        TARGETS, budget=len(ks), seed=0, k_folds=2,
+                                        propose=lambda s, r, h: next(proposals))
+
+        assert search(11, 3).spec.hyperparameters["k"] in (11, 3)
+        with pytest.raises(InputError, match=r"k=15 exceeds the 12 training rows"):
+            search(3, 15)
+
+    def test_knn_space_without_k_range_searches_default_k(self):
+        matrix = self._hyper_matrix()
+        kwargs = dict(regime=REGIME_REQUIREMENT, targets=TARGETS, seed=4)
+        bare = optimize_hyperparams(KNN, HyperParamSpace(kind=KNN), matrix,
+                                    budget=2, **kwargs)
+        five = optimize_hyperparams(KNN, HyperParamSpace.default(KNN).narrowed(k=(5, 5)),
+                                    matrix, budget=1, **kwargs)
+        assert bare.spec.hyperparameters == {}
+        assert bare.fold_performances == five.fold_performances
+        assert bare.fold_thresholds == five.fold_thresholds
+
 
 class TestRunSingleSeed:
     def test_dummy_reference_row(self):
@@ -315,6 +341,23 @@ class TestEvaluateExternal:
         path = self._write(tmp_path, ["0.5,1", "oops,0", "1.3,1"])
         with pytest.raises(IngestionError, match="line 3"):
             evaluate_external(path, TARGETS)
+
+    @pytest.mark.parametrize("rows", [
+        ["0.9,1", "0.1,0", "0.3,0", ""],
+        ["0.9,1", "", "0.1,0", "", "", "0.3,0"],
+    ], ids=["trailing", "mid-file"])
+    def test_blank_lines_are_skipped(self, tmp_path, rows):
+        scores, labels, _ = read_scores_csv(self._write(tmp_path, rows))
+        assert scores.tolist() == [0.9, 0.1, 0.3]
+        assert labels.tolist() == [1, 0, 0]
+
+    def test_lines_after_a_blank_line_keep_their_numbers(self, tmp_path):
+        path = self._write(tmp_path, ["0.9,1", "", "0.1,0", "oops,0", "0.2"])
+        with pytest.raises(IngestionError) as info:
+            read_scores_csv(path)
+        assert str(info.value) == (
+            f"{path}: line 5: could not convert string to float: 'oops'; "
+            "line 6: expected 2 fields, got 1")
 
     def test_missing_columns_rejected(self, tmp_path):
         path = self._write(tmp_path, ["0.5"], header="score")

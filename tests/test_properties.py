@@ -1,23 +1,32 @@
 """Randomised checks against reference implementations and bad input.
 
-score_report's curve metrics are checked against brute force, and forest
-training against the per-node argsort grower in ``reference_forest``.  The
-config and score-file readers are fed near-miss keys, malformed values and
+score_report's curve metrics are checked against brute force, forest
+training against the per-node argsort grower in ``reference_forest``, and
+the kNN neighbour-vote table and search against the one-``k`` scorer in
+``reference_knn``.  The config and score-file readers are fed near-miss keys, malformed values and
 arbitrary bytes: they must either succeed or raise ``InputError``.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from falsecall.classifiers import (BALANCED_RANDOM_FOREST, RANDOM_FOREST,
-                                   ClassifierSpec, _train_forest)
+from falsecall import classifiers, experiment
+from falsecall.classifiers import (BALANCED_RANDOM_FOREST, KNN, RANDOM_FOREST,
+                                   ClassifierSpec, HyperParamSpace,
+                                   _knn_vote_table, _train_forest, _train_knn)
 from falsecall.cli import load_experiment_setup
 from falsecall.curves import select_threshold, sweep_thresholds
-from falsecall.dataset import SyntheticConfig, generate_synthetic, write_csv
+from falsecall.dataset import (EncodedMatrix, SyntheticConfig,
+                               generate_synthetic, write_csv)
 from falsecall.errors import InputError
-from falsecall.experiment import ExperimentConfig, read_scores_csv, score_report
+from falsecall.experiment import (REGIME_REQUIREMENT, REGIME_STANDARD,
+                                  ExperimentConfig, optimize_hyperparams,
+                                  read_scores_csv, score_report)
 from falsecall.metrics import TargetSpec
 from tests.reference_forest import reference_train_forest
+from tests.reference_knn import reference_score_knn
 from tests.test_curves import (oracle_auc_pr, oracle_cauc, oracle_points,
                                oracle_v_at_s)
 
@@ -120,6 +129,120 @@ def test_presorted_forest_equals_reference_grower(case):
         for key, array in reference.items():
             assert tree[key].dtype == array.dtype
             assert tree[key].tobytes() == array.tobytes(), key
+
+
+@st.composite
+def knn_cases(draw):
+    """Features of 1-4 integer levels (heavy ties) or free floats, duplicate
+    training rows, ``k_max`` often every training row, one query row or
+    many, and chunks of one row up to the library's own size."""
+    n_features = draw(st.integers(1, 4))
+    levels = draw(st.integers(1, 4) | st.none())
+    values = st.floats(-10, 10, width=32) if levels is None else st.integers(0, levels - 1)
+
+    def rows(n):
+        cells = draw(st.lists(values, min_size=n * n_features, max_size=n * n_features))
+        return np.array(cells, dtype=float).reshape(n, n_features)
+
+    X = rows(draw(st.integers(1, 40)))
+    X = np.vstack([X, X[draw(st.lists(st.integers(0, len(X) - 1), max_size=10))]])
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X))))
+    queries = rows(draw(st.just(1) | st.integers(1, 60)))
+    k_max = draw(st.just(len(X)) | st.integers(1, len(X)))
+    chunk_rows = draw(st.integers(1, 8) | st.none())
+    return X, y, queries, k_max, chunk_rows
+
+
+def assert_bitwise_equal(actual, expected, label):
+    assert np.array_equal(actual.view(np.int64), expected.view(np.int64)), label
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(knn_cases())
+def test_vote_table_equals_reference_scorer_for_every_k(case):
+    X, y, queries, k_max, chunk_rows = case
+    state = _train_knn(ClassifierSpec(KNN, {"k": 1}), X, y)
+    chunk_bytes = (classifiers._KNN_CHUNK_BYTES if chunk_rows is None
+                   else chunk_rows * state["X"].nbytes)
+    with mock.patch.object(classifiers, "_KNN_CHUNK_BYTES", chunk_bytes):
+        table = _knn_vote_table(state, queries, k_max)
+    assert table.shape == (len(queries), k_max)
+    for k in range(1, k_max + 1):
+        expected = reference_score_knn({**state, "k": k}, queries)
+        assert_bitwise_equal(table[:, k - 1], expected, f"k={k}")
+
+
+def test_vote_table_spans_chunks_at_its_own_size():
+    # 1300 training rows of 10 features: about 40 query rows per chunk.
+    rng = np.random.default_rng(11)
+    X = np.column_stack([rng.integers(0, 3, (1300, 5)), rng.standard_normal((1300, 5))])
+    y = (rng.random(1300) < 0.1).astype(np.int64)
+    queries = np.vstack([X[:60], rng.integers(0, 3, (70, 10))])
+    state = _train_knn(ClassifierSpec(KNN, {"k": 1}), X, y)
+    assert len(queries) > 3 * classifiers._KNN_CHUNK_BYTES // state["X"].nbytes
+    table = _knn_vote_table(state, queries, 51)
+    for k in range(1, 52):
+        expected = reference_score_knn({**state, "k": k}, queries)
+        assert_bitwise_equal(table[:, k - 1], expected, f"k={k}")
+
+
+def _tied_matrix(n=360, seed=7):
+    """Three-level features shifted by the label: many tied distances."""
+    rng = np.random.default_rng(seed)
+    labels = (rng.random(n) < 0.15).astype(np.int64)
+    labels[:2] = [0, 1]
+    X = rng.integers(0, 3, (n, 3)).astype(float)
+    X[:, 0] += labels
+    return EncodedMatrix(X, labels, np.arange(n), ("x0", "x1", "x2"))
+
+
+def _search_history(optimizer, regime):
+    """Every trial of one kNN search, as (params, performances, thresholds)."""
+    default = (experiment._propose_surrogate if optimizer == "surrogate"
+               else lambda space, rng, history: space.sample(rng))
+    seen = []
+
+    def propose(space, rng, history):
+        seen.append(history)
+        return default(space, rng, history)
+
+    optimize_hyperparams(KNN, HyperParamSpace.default(KNN).narrowed(k=(1, 15)),
+                         _tied_matrix(), regime, TARGETS, budget=9, seed=3,
+                         k_folds=4, propose=propose)
+    return [(t.spec.hyperparameters, t.fold_performances, t.fold_thresholds)
+            for t in seen[0]]
+
+
+@pytest.mark.parametrize("optimizer, regime", [
+    ("random", REGIME_REQUIREMENT), ("random", REGIME_STANDARD),
+    ("surrogate", REGIME_REQUIREMENT), ("surrogate", REGIME_STANDARD)])
+def test_knn_search_equals_search_scored_by_reference(monkeypatch, optimizer, regime):
+    actual = _search_history(optimizer, regime)
+
+    # Score each trial's folds with the reference scorer, from the state of
+    # the model that trial just trained.
+    trained = []
+    real_train = classifiers.train
+
+    def spy_train(spec, matrix):
+        trained.append(real_train(spec, matrix))
+        return trained[-1]
+
+    class ReferenceVotes:
+        def __init__(self, state, X, k_max):
+            self.X, self.k_max = X, k_max
+
+        def __getitem__(self, key):
+            rows, column = key
+            state = trained[-1].state
+            assert column == state["k"] - 1 < self.k_max
+            return reference_score_knn(state, self.X)[rows]
+
+    monkeypatch.setattr(classifiers, "train", spy_train)
+    monkeypatch.setattr(classifiers, "_knn_vote_table", ReferenceVotes)
+    expected = _search_history(optimizer, regime)
+    assert len(trained) == 9 * 4
+    assert actual == expected
 
 
 # ---------------------------------------------------------------------------

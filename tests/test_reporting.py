@@ -5,15 +5,20 @@ import json
 import numpy as np
 import pytest
 
+from falsecall import reporting
 from falsecall.classifiers import DUMMY
 from falsecall.curves import sweep_thresholds
+from falsecall.dataset import (SyntheticConfig, generate_synthetic,
+                               one_hot_fit_transform, pca2d)
 from falsecall.errors import InputError
 from falsecall.experiment import (REGIME_STANDARD, ExperimentConfig,
                                   run_multi_seed, score_report, verdict)
 from falsecall.metrics import SENTINEL_THRESHOLD, TargetSpec, metric_surface
-from falsecall.reporting import (build_bundle, canonical_metric,
-                                 export_curve, export_surface, export_timeline,
-                                 render_table, report_to_json, write_bundle)
+from falsecall.reporting import (build_bundle, canonical_metric, dump_json,
+                                 export_curve, export_projection,
+                                 export_surface, export_timeline,
+                                 render_table, report_to_json, write_bundle,
+                                 write_export)
 from tests.test_experiment import dc_dataset
 
 TARGETS = TargetSpec()
@@ -140,6 +145,32 @@ class TestExportSurface:
         corner = next(r for r in rows[1:] if r[0] == "0.000000" and r[1] == "1.000000")
         assert corner[4] == "1.000000"
         assert surface_json["cv"][0][2] == 1.0
+
+
+class TestWriteExport:
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    @pytest.mark.parametrize("make, export", [
+        (lambda: metric_surface(0.01, 4, TARGETS), export_surface),
+        (lambda: pca2d(one_hot_fit_transform(generate_synthetic(
+            SyntheticConfig(n_rows=200, prevalence=0.1)))[0]),
+         export_projection),
+    ], ids=["surface", "projection"])
+    def test_renders_only_the_written_form(self, tmp_path, monkeypatch, suffix,
+                                           make, export):
+        value = make()
+        csv_text, payload = export(value)
+        to_csv, to_payload = reporting._EXPORT_FORMS[type(value)]
+
+        def not_written(_):
+            raise AssertionError("rendered a form that is not written")
+
+        monkeypatch.setitem(reporting._EXPORT_FORMS, type(value),
+                            (not_written, to_payload) if suffix == ".json"
+                            else (to_csv, not_written))
+        path = tmp_path / f"out{suffix}"
+        write_export(path, value)
+        assert path.read_text() == (dump_json(payload) if suffix == ".json"
+                                    else csv_text)
 
 
 class TestBundle:
