@@ -162,11 +162,21 @@ def _synthetic_config(values: dict) -> SyntheticConfig:
     return SyntheticConfig(**values)
 
 
+def _built(problems: list, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, or ``None`` with its ``InputError`` in ``problems``."""
+    try:
+        return build(*args, **kwargs)
+    except InputError as exc:
+        problems.append(str(exc))
+        return None
+
+
 def load_experiment_setup(path) -> tuple[ExperimentConfig, Dataset, dict]:
     """Parse an experiment config file and materialise its dataset.
 
-    Returns (config, dataset, provenance echo).  Unknown and missing keys and
-    unparseable values are collected and reported together.
+    Returns (config, dataset, provenance echo).  Unknown and missing keys,
+    unparseable values and the range checks of the objects built from them
+    are collected and reported together, before any data is read.
     """
     kv = _read_config(path)
     problems = [] if "models" in kv else ["missing key 'models'"]
@@ -179,18 +189,23 @@ def load_experiment_setup(path) -> tuple[ExperimentConfig, Dataset, dict]:
         problems += _missing(SyntheticConfig, kv, "synthetic.")
     elif source == "csv":
         problems += _missing(load_csv, kv, "csv.")
-    if problems:
-        raise IngestionError(f"{path}: " + "; ".join(sorted(problems)))
 
-    targets = TargetSpec(**{key: top.pop(key) for key in ("s_target", "v_target")
-                            if key in top})
-    spaces = {kind: HyperParamSpace.default(kind).narrowed(**values[prefix])
+    targets = _built(problems, TargetSpec, **{
+        key: top.pop(key) for key in ("s_target", "v_target") if key in top})
+    spaces = {kind: _built(problems, HyperParamSpace.default(kind).narrowed,
+                           **values[prefix])
               for prefix, kinds in _SPACE_KINDS.items() if values[prefix]
               for kind in kinds}
-    config = ExperimentConfig(model_kinds=top.pop("models"), targets=targets,
-                              spaces=spaces, **top)
-    dataset = (generate_synthetic(_synthetic_config(values["synthetic."]))
-               if source == "synthetic" else load_csv(**values["csv."]))
+    config = (_built(problems, ExperimentConfig, model_kinds=top.pop("models"),
+                     targets=targets or TargetSpec(), spaces=spaces, **top)
+              if "models" in top else None)
+    synthetic = (_built(problems, _synthetic_config, values["synthetic."])
+                 if source == "synthetic"
+                 and not _missing(SyntheticConfig, values["synthetic."]) else None)
+    if problems:
+        raise IngestionError(f"{path}: " + "; ".join(sorted(set(problems))))
+    dataset = (generate_synthetic(synthetic) if source == "synthetic"
+               else load_csv(**values["csv."]))
     return config, dataset, {"config": dict(sorted(kv.items()))}
 
 

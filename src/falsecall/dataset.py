@@ -196,9 +196,13 @@ def load_csv(path, timestamp_column: str = "timestamp",
     """
     if missing not in ("reject", "impute"):
         raise InputError(f"missing policy must be 'reject' or 'impute', got {missing!r}")
+    rows, line_numbers = [], []
     with _csv_reader(path) as reader:
         header = next(reader, None)
-        rows = list(reader)
+        for row in reader:
+            if row:
+                rows.append(row)
+                line_numbers.append(reader.line_num)
     if header is None:
         raise IngestionError(f"{path}: file is empty")
 
@@ -212,14 +216,9 @@ def load_csv(path, timestamp_column: str = "timestamp",
     n = len(rows)
     timestamps = np.empty(n, dtype=float)
     raw_labels = []
-    blank = []
-    for i, row in enumerate(rows):
-        line_no = i + 2  # header is line 1
+    for i, (row, line_no) in enumerate(zip(rows, line_numbers)):
         if len(row) != len(header):
-            if row:
-                problems.append(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-            else:
-                blank.append(i)
+            problems.append(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
             continue
         try:
             timestamps[i] = _parse_timestamp(row[col_of[timestamp_column]])
@@ -228,12 +227,6 @@ def load_csv(path, timestamp_column: str = "timestamp",
         raw_labels.append(row[col_of[label_column]])
     if problems:
         raise IngestionError(f"{path}: " + "; ".join(problems[:20]))
-    line_numbers = np.arange(2, n + 2)
-    if blank:
-        rows = [row for row in rows if row]
-        timestamps = np.delete(timestamps, blank)
-        line_numbers = np.delete(line_numbers, blank)
-        n = len(rows)
 
     distinct = sorted(set(raw_labels))
     if positive_label is not None:
@@ -264,7 +257,7 @@ def load_csv(path, timestamp_column: str = "timestamp",
         nonempty = [c for c in cells if c != ""]
         numeric = name not in forced_cat and all(_is_float(c) for c in nonempty)
         if numeric:
-            empties = [int(line_numbers[i]) for i, c in enumerate(cells) if c == ""]
+            empties = [line for line, c in zip(line_numbers, cells) if c == ""]
             if empties and missing == "reject":
                 shown = ", ".join(str(l) for l in empties[:10])
                 raise IngestionError(

@@ -435,11 +435,11 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
         scores, labels, stamps = [], [], []
         problems = []
         width = len(header)
-        for i, row in enumerate(reader):
-            line_no = i + 2
+        for row in reader:
             if len(row) != width:
                 if row:
-                    problems.append(f"line {line_no}: expected {width} fields, got {len(row)}")
+                    problems.append(f"line {reader.line_num}: expected {width} "
+                                    f"fields, got {len(row)}")
                 continue
             try:
                 value = float(row[score_col])
@@ -451,7 +451,7 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
                 if ts_col is not None:
                     stamps.append(float(row[ts_col]))
             except ValueError as exc:
-                problems.append(f"line {line_no}: {exc}")
+                problems.append(f"line {reader.line_num}: {exc}")
                 continue
             scores.append(value)
             labels.append(label)

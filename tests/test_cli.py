@@ -236,6 +236,20 @@ class TestExperiment:
                      "unknown key 'space.knn.q'", "xgboost"):
             assert part in message
 
+    def test_range_checks_reported_with_key_problems(self, tmp_path, capsys):
+        config = experiment_config(tmp_path, budget=0, s_target=2, bogus=1,
+                                   **{"space.forest.n_trees": "5:400",
+                                      "synthetic.prevalence": 0.7})
+        assert run_cli(["experiment", "--config", config,
+                        "--out", str(tmp_path / "out")]) == 1
+        message = capsys.readouterr().err
+        assert message.count("\n") == 1
+        for part in ("unknown key 'bogus'", "budget must be >= 1",
+                     "s_target must lie in (0, 1)",
+                     "bounds n_trees=(5, 400) leave the declared range",
+                     "prevalence must lie in (0, 0.5)"):
+            assert part in message
+
     @pytest.mark.parametrize("bad_file", ["config", "csv.path"])
     def test_non_utf8_file_exits_one(self, tmp_path, capsys, bad_file):
         data = tmp_path / "data.csv"

@@ -90,6 +90,15 @@ class TestLoadCsv:
         with pytest.raises(IngestionError, match="values at lines 4$"):
             load_csv(path, timestamp_column="ts", label_column="label")
 
+    def test_lines_after_a_multiline_field_keep_their_numbers(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text('ts,x,label\n0,1,0\n1,"2\n",1\n2,3\n')
+        with pytest.raises(IngestionError, match="line 5: expected 3 fields, got 2"):
+            load_csv(path, timestamp_column="ts", label_column="label")
+        path.write_text('ts,c,x,label\n0,"a\nb",1,0\n1,b,,1\n')
+        with pytest.raises(IngestionError, match="values at lines 4$"):
+            load_csv(path, timestamp_column="ts", label_column="label")
+
     def test_impute_mode_keeps_nan_for_encoder(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("ts,x,label\n0,1,0\n1,,1\n2,3,0\n")

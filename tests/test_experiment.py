@@ -359,6 +359,13 @@ class TestEvaluateExternal:
             f"{path}: line 5: could not convert string to float: 'oops'; "
             "line 6: expected 2 fields, got 1")
 
+    def test_lines_after_a_multiline_field_keep_their_numbers(self, tmp_path):
+        path = self._write(tmp_path, ["0.5,1", '"0.2', '",0', "0.3,0", "bad,1"])
+        with pytest.raises(IngestionError) as info:
+            read_scores_csv(path)
+        assert str(info.value) == (
+            f"{path}: line 6: could not convert string to float: 'bad'")
+
     def test_missing_columns_rejected(self, tmp_path):
         path = self._write(tmp_path, ["0.5"], header="score")
         with pytest.raises(IngestionError):

@@ -5,8 +5,11 @@ training against the per-node argsort grower in ``reference_forest``, and
 the kNN neighbour-vote table and search against the one-``k`` scorer in
 ``reference_knn``.  The config and score-file readers are fed near-miss keys, malformed values and
 arbitrary bytes: they must either succeed or raise ``InputError``.
+``reporting.dump_json`` must give the bytes of the indented ``json.dumps``.
 """
 
+import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -25,6 +28,7 @@ from falsecall.experiment import (REGIME_REQUIREMENT, REGIME_STANDARD,
                                   ExperimentConfig, optimize_hyperparams,
                                   read_scores_csv, score_report)
 from falsecall.metrics import TargetSpec
+from falsecall.reporting import dump_json
 from tests.reference_forest import reference_train_forest
 from tests.reference_knn import reference_score_knn
 from tests.test_curves import (oracle_auc_pr, oracle_cauc, oracle_points,
@@ -340,3 +344,56 @@ def test_score_reader_returns_or_rejects(fuzz_dir, lines):
         return
     assert scores.shape == labels.shape and scores.size > 0
     assert np.all((scores >= 0) & (scores <= 1)) and set(labels) <= {0, 1}
+
+
+JSON_KEYS = (st.sampled_from(["", "%", "%s", "%(x)s", "{", "{0}", "}", '"', "\\",
+                              "\n", "é", "ключ", "a", "b", "v", "threshold"])
+             | st.text(max_size=4))
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2 ** 80, 2 ** 80)
+                | st.floats()
+                | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan,
+                                   5e-324, -2.2250738585072e-308, 1e16, 0.1])
+                | st.text(max_size=6)
+                | st.sampled_from(["\x00\x1f\x7f", "a\tb\r\n", " é\ud800"]))
+
+
+@st.composite
+def same_key_rows(draw, values):
+    """A list of dicts that all share one key set."""
+    keys = draw(st.lists(JSON_KEYS, unique=True, max_size=4))
+    return draw(st.lists(st.fixed_dictionaries({key: values for key in keys}),
+                         min_size=1, max_size=5))
+
+
+def json_payloads():
+    def containers(children):
+        return (st.lists(children, max_size=5)
+                | st.lists(children, max_size=5).map(tuple)
+                | st.dictionaries(JSON_KEYS, children, max_size=5)
+                | same_key_rows(JSON_SCALARS)
+                | same_key_rows(JSON_SCALARS | children)
+                | st.lists(st.dictionaries(JSON_KEYS, JSON_SCALARS, max_size=3),
+                           max_size=4))
+    return st.recursive(JSON_SCALARS, containers, max_leaves=40)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.example({"points": [{"threshold": 0.5, "v": 0.0, "one_minus_s": 1.0},
+                                {"threshold": "inf", "v": 1.0, "one_minus_s": 0.0}]})
+@hypothesis.example([{"%": 1, "{x}": "%s", "%%s": None}, {"%": 2, "{x}": "}", "%%s": 0.5}])
+@hypothesis.example([{10: 0.5, 2: None}, {2: True, 10: -0.0}])
+@hypothesis.example({0.5: 1, -math.inf: [2], False: {}})
+@hypothesis.given(json_payloads())
+def test_dump_json_equals_indented_json_dumps(payload):
+    assert dump_json(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    np.int64(3), [np.int64(3)], {"a": np.int64(3)}, [{"a": 1}, {"a": np.int64(3)}],
+    [{"a": [np.int64(3)]}]], ids=["scalar", "list", "dict", "rows", "nested"])
+def test_dump_json_rejects_numpy_ints_like_json_dumps(payload):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(payload, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as actual:
+        dump_json(payload)
+    assert str(actual.value) == str(expected.value)
