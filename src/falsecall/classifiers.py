@@ -205,7 +205,12 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, weight: np.ndarray,
         # The row-major first minimum is the lowest feature, then the lowest
         # value, as the tie rule asks.
         f, cut = divmod(int(weighted.argmin()), weighted.shape[1])
-        return int(feats[f]), float((values[f, cut] + values[f, cut + 1]) / 2.0)
+        low, high = values[f, cut], values[f, cut + 1]
+        middle = (low + high) / 2.0
+        # The midpoint of adjacent floats (1+eps, 1+2eps) can round up to
+        # ``high``, and a huge pair's can overflow; cutting at ``low`` then
+        # still sends ``high`` right.
+        return int(feats[f]), float(middle if low <= middle < high else low)
 
     def build(rows: np.ndarray, depth: int) -> int:
         ids = rows[0]
@@ -229,8 +234,6 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, weight: np.ndarray,
         left.append(-1)
         right.append(-1)
         vote.append(-1)
-        # Partition by value, not by sorted position: the midpoint of two
-        # adjacent floats can round to the larger one, which goes left too.
         # Boolean selection is stable, so each child stays sorted.
         go_left = X[:, f][rows] <= cut
         left[node] = build(rows[go_left].reshape(n_features, -1), depth + 1)

@@ -251,9 +251,11 @@ def cmd_generate(args) -> int:
     kv = _read_config(args.config)
     problems = _missing(SyntheticConfig, kv)
     values = _read_keys(kv, {"": _SYNTHETIC_KEYS}, problems)[""]
+    config = (_built(problems, _synthetic_config, values)
+              if not _missing(SyntheticConfig, values) else None)
     if problems:
         raise IngestionError(f"{args.config}: " + "; ".join(sorted(problems)))
-    dataset = generate_synthetic(_synthetic_config(values))
+    dataset = generate_synthetic(config)
     write_csv(dataset, args.out)
     print(f"wrote {dataset.n_rows} rows "
           f"({int(dataset.labels.sum())} defects) to {args.out}")

@@ -91,18 +91,25 @@ class _Ranking(NamedTuple):
 
 
 def _ranked(scores: Sequence[float], labels: Sequence[int]) -> _Ranking:
-    """Validate a scored set with both classes and rank it once."""
+    """Validate a scored set with both classes and rank it once.
+
+    One value sort gives the distinct scores as the run starts of the
+    ascending order; ``searchsorted`` counts the rows and the defects at or
+    above each of them.
+    """
     scores, labels = validated_inputs(scores, labels)
-    n_pos = int(np.count_nonzero(labels == 1))
+    positive = labels == 1
+    n_pos = int(np.count_nonzero(positive))
     if n_pos == 0 or n_pos == labels.size:
         raise InputError("both classes must be present to sweep thresholds")
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    # Index of the last occurrence of each distinct score in descending order:
-    # thresholding at that score predicts positive exactly for ranks <= index.
-    last = np.nonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))[0]
-    tp = np.cumsum(labels[order] == 1)[last]
-    return _Ranking(sorted_scores[last], tp, last + 1, n_pos, labels.size - n_pos)
+    ascending = np.sort(scores)
+    # Descending run starts: rows at index >= start score at least that value.
+    starts = np.flatnonzero(np.append(True, ascending[1:] != ascending[:-1]))[::-1]
+    distinct = ascending[starts]
+    # -0.0 and 0.0 are one score, spelled like its last row in the input.
+    distinct[distinct == 0.0] = scores[np.flatnonzero(scores == 0.0)[-1:]]
+    tp = n_pos - np.searchsorted(np.sort(scores[positive]), distinct, "left")
+    return _Ranking(distinct, tp, labels.size - starts, n_pos, labels.size - n_pos)
 
 
 def sweep_thresholds(scores: Sequence[float], labels: Sequence[int]) -> OperatingCurve:

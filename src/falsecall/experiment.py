@@ -18,6 +18,7 @@ so the two can be compared side by side from their reports.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -417,11 +418,85 @@ class ExternalEvaluation:
     slice_reports: Optional[list] = None
 
 
+#: Characters read per block of a score file, before the rest of its last line.
+_SCORE_BLOCK_CHARS = 1 << 18
+
+
 def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Read a score export: header with score,label[,timestamp] columns.
 
     Empty lines are skipped; line numbers in errors are the file's own.
+    Unquoted LF-only files are split a block at a time; any other file, and
+    any file with a problem, is read row by row, which gives the same values
+    and is the one reader that words errors.
     """
+    columns = _split_score_blocks(path)
+    return columns if columns is not None else _read_score_rows(path)
+
+
+def _split_score_blocks(path):
+    """``read_scores_csv``'s arrays from blocks split on commas, or ``None``.
+
+    A block qualifies when it holds no quote, CR or NUL and every non-empty
+    line has one comma fewer than the header has columns and fits the csv
+    field limit: ``str.split`` then yields ``csv.reader``'s fields.  Those
+    are cast by the same ``float`` and ``int`` calls as row by row.  Any
+    other header or block, a cast or range failure, an open or decode error,
+    or a file without rows gives ``None``.
+    """
+    blocks = []
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            header = handle.readline()
+            if not _plain(header) or len(header) > csv.field_size_limit():
+                return None
+            header = header.rstrip("\n").split(",")
+            if "score" not in header or "label" not in header:
+                return None
+            width = len(header)
+            casts = [(header.index("score"), float), (header.index("label"), int)]
+            if "timestamp" in header:
+                casts.append((header.index("timestamp"), float))
+            while text := handle.read(_SCORE_BLOCK_CHARS):
+                text += handle.readline()
+                if "\n\n" in text or text[0] == "\n" or text[-1] != "\n":
+                    # Drop blank lines and end the last line, as csv.reader reads.
+                    text = "\n".join(filter(None, text.split("\n"))) + "\n"
+                    if text == "\n":
+                        continue
+                if not _plain(text):
+                    return None
+                raw = np.frombuffer(text.encode(), np.uint8)
+                ends = np.flatnonzero(raw == ord("\n"))
+                # Commas and line ends in file order: width - 1 commas, an end.
+                separators = raw[(raw == ord(",")) | (raw == ord("\n"))]
+                if (separators.size != ends.size * width
+                        or np.any(separators.reshape(-1, width)[:, :-1] != ord(","))
+                        or np.diff(ends, prepend=-1).max() > csv.field_size_limit()):
+                    return None
+                fields = text.replace("\n", ",").split(",")
+                block = [np.fromiter(map(cast, fields[col::width]), cast, ends.size)
+                         for col, cast in casts]
+                score, label = block[:2]
+                if not (np.all((score >= 0.0) & (score <= 1.0))
+                        and np.all((label == 0) | (label == 1))):
+                    return None
+                blocks.append(block)
+    except (OSError, ValueError, OverflowError):
+        return None
+    if not blocks:
+        return None
+    columns = [np.concatenate(column) for column in zip(*blocks)]
+    return columns[0], columns[1], columns[2] if len(columns) == 3 else None
+
+
+def _plain(text: str) -> bool:
+    """No quote, CR or NUL: the characters that make csv lines more than splits."""
+    return '"' not in text and "\r" not in text and "\0" not in text
+
+
+def _read_score_rows(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """``read_scores_csv`` through ``csv.reader``, one row at a time."""
     with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None:

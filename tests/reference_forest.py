@@ -61,8 +61,9 @@ def reference_grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator,
             b = int(np.argmin(weighted))
             if best is None or weighted[b] < best[0]:
                 cut = boundaries[b]
+                middle = (vs[cut] + vs[cut + 1]) / 2.0
                 best = (float(weighted[b]), int(f),
-                        float((vs[cut] + vs[cut + 1]) / 2.0))
+                        float(middle if vs[cut] <= middle < vs[cut + 1] else vs[cut]))
         return best
 
     def build(idx: np.ndarray, depth: int) -> int:

@@ -150,6 +150,20 @@ class TestForest:
         with pytest.raises(InputError):
             train(ClassifierSpec(RANDOM_FOREST, dict(self.SPEC)), matrix)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("low, high", [
+        (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),
+        (1e308, 1.5e308), (-1.5e308, -1e308)], ids=["adjacent", "huge", "huge-negative"])
+    def test_split_between_two_values_separates_them(self, low, high):
+        # The midpoint of 1+eps and 1+2eps rounds up to 1+2eps, and a huge
+        # pair's overflows.  Cut there, every row went to one side and, with
+        # no depth limit, training recursed until RecursionError.
+        matrix = matrix_from_arrays(np.array([low, high] * 6).reshape(-1, 1), [0, 1] * 6)
+        model = train(ClassifierSpec(RANDOM_FOREST, dict(self.SPEC, n_trees=1)), matrix)
+        tree = model.state["trees"][0]
+        assert tree["threshold"][0] == low
+        assert tree["feature"].tolist() == [0, -1, -1]
+
     def test_dimension_mismatch_rejected(self):
         train_m, _ = separable_matrices(n_train=60, seed=7)
         model = train(ClassifierSpec(RANDOM_FOREST, dict(self.SPEC), seed=1), train_m)

@@ -319,8 +319,18 @@ class TestGenerate:
         config.write_text(f"n_rows = 300\nprevalence = 0.1\n{key} = {value}\n")
         assert run_cli(["generate", "--config", str(config),
                         "--out", str(tmp_path / "d.csv")]) == 1
-        assert f"error: {key} must be" in capsys.readouterr().err
+        assert f"gen.txt: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
+
+    def test_range_checks_join_key_problems(self, tmp_path, capsys):
+        config = tmp_path / "gen.txt"
+        config.write_text("n_rows = 300\nprevalence = 0.7\nbogus = 1\n")
+        assert run_cli(["generate", "--config", str(config),
+                        "--out", str(tmp_path / "d.csv")]) == 1
+        message = capsys.readouterr().err
+        assert message.count("gen.txt:") == 1
+        assert "unknown key 'bogus'" in message
+        assert "prevalence must lie in (0, 0.5)" in message
 
 
 class TestSurface:

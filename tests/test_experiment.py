@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -365,6 +366,35 @@ class TestEvaluateExternal:
             read_scores_csv(path)
         assert str(info.value) == (
             f"{path}: line 6: could not convert string to float: 'bad'")
+
+    @pytest.mark.parametrize("rows, message", [
+        (["0.5,1"] * 5 + ["0.5,1,7", "0.5,1"], "line 7: expected 2 fields, got 3"),
+        (["0.5,1"] * 7 + ["0.\udcff,1"],
+         "'utf-8' codec can't decode byte 0xff in position 56: invalid start byte"),
+    ], ids=["field-count", "non-utf8"])
+    def test_later_block_problems_keep_row_reader_messages(self, tmp_path, rows,
+                                                           message):
+        path = tmp_path / "scores.csv"
+        path.write_bytes("\n".join(["score,label", *rows, ""]).encode(
+            errors="surrogateescape"))
+        # Six-character rows: each 16-character block holds three of them.
+        with mock.patch.object(experiment, "_SCORE_BLOCK_CHARS", 16), \
+                pytest.raises(IngestionError) as info:
+            read_scores_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_unquoted_file_never_enters_the_row_loop(self, tmp_path):
+        rng = np.random.default_rng(0)
+        rows = [f"{s:.3f},{int(s > 0.99)},{t}" for t, s in enumerate(rng.random(100_000))]
+        path = self._write(tmp_path, rows, header="score,label,timestamp")
+        expected = experiment._read_score_rows(path)
+        with mock.patch.object(experiment, "_read_score_rows",
+                               wraps=experiment._read_score_rows) as row_reader:
+            columns = read_scores_csv(path)
+        row_reader.assert_not_called()
+        for column, reference in zip(columns, expected, strict=True):
+            assert column.dtype == reference.dtype
+            assert column.tobytes() == reference.tobytes()
 
     def test_missing_columns_rejected(self, tmp_path):
         path = self._write(tmp_path, ["0.5"], header="score")

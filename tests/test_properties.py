@@ -1,10 +1,12 @@
 """Randomised checks against reference implementations and bad input.
 
-score_report's curve metrics are checked against brute force, forest
+score_report's curve metrics are checked against brute force, the ranking
+behind them against the stable argsort in ``reference_ranking``, forest
 training against the per-node argsort grower in ``reference_forest``, and
 the kNN neighbour-vote table and search against the one-``k`` scorer in
 ``reference_knn``.  The config and score-file readers are fed near-miss keys, malformed values and
-arbitrary bytes: they must either succeed or raise ``InputError``.
+arbitrary bytes: they must either succeed or raise ``InputError``, and the
+block reader of score files must match the row reader's arrays or message.
 ``reporting.dump_json`` must give the bytes of the indented ``json.dumps``.
 """
 
@@ -20,10 +22,11 @@ from falsecall.classifiers import (BALANCED_RANDOM_FOREST, KNN, RANDOM_FOREST,
                                    ClassifierSpec, HyperParamSpace,
                                    _knn_vote_table, _train_forest, _train_knn)
 from falsecall.cli import load_experiment_setup
-from falsecall.curves import select_threshold, sweep_thresholds
+from falsecall.curves import (_Ranking, _ranked, auc_pr, select_threshold,
+                              sweep_thresholds)
 from falsecall.dataset import (EncodedMatrix, SyntheticConfig,
                                generate_synthetic, write_csv)
-from falsecall.errors import InputError
+from falsecall.errors import IngestionError, InputError
 from falsecall.experiment import (REGIME_REQUIREMENT, REGIME_STANDARD,
                                   ExperimentConfig, optimize_hyperparams,
                                   read_scores_csv, score_report)
@@ -31,6 +34,7 @@ from falsecall.metrics import TargetSpec
 from falsecall.reporting import dump_json
 from tests.reference_forest import reference_train_forest
 from tests.reference_knn import reference_score_knn
+from tests.reference_ranking import reference_ranked
 from tests.test_curves import (oracle_auc_pr, oracle_cauc, oracle_points,
                                oracle_v_at_s)
 
@@ -74,8 +78,50 @@ def test_score_report_curve_metrics_match_oracles(case):
     assert select_threshold(curve, "v_at_s", TARGETS).feasible == (v_at_s > 0.0)
 
 
-#: 1+eps and 1+2eps: their midpoint rounds up to 1+2eps, so a split between
-#: them sends both values left and leaves the right child empty.
+@st.composite
+def ranking_cases(draw):
+    """Random floats, 2-4 tied levels, only +-0.0, +-0.0 with 5e-324, or all
+    rows but one tied; often one positive or one negative."""
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["floats", "levels", "zeros", "subnormal", "all_but_one"]))
+    if kind == "floats":
+        values = st.floats(allow_nan=False, allow_infinity=False)
+    elif kind == "levels":
+        values = st.sampled_from(draw(st.lists(st.floats(0, 1), min_size=2, max_size=4,
+                                               unique=True)))
+    else:
+        values = st.sampled_from({"zeros": [0.0, -0.0], "subnormal": [0.0, -0.0, 5e-324],
+                                  "all_but_one": [0.5]}[kind])
+    scores = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
+    if kind == "all_but_one":
+        scores[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -0.0, 0.25, 1.0]))
+    n_pos = draw(st.sampled_from([1, n - 1]) | st.integers(1, n - 1))
+    labels = np.zeros(n, dtype=np.int64)
+    labels[draw(st.permutations(range(n)))[:n_pos]] = 1
+    return scores, labels
+
+
+@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.example((np.array([-0.0, 0.0, 0.5]), np.array([0, 1, 1])))
+@hypothesis.example((np.array([0.0, 5e-324, -0.0, 0.0, -0.0]), np.array([1, 0, 0, 1, 0])))
+@hypothesis.given(ranking_cases())
+def test_value_sort_ranking_equals_stable_argsort(case):
+    scores, labels = case
+    ranking, expected = _ranked(scores, labels), reference_ranked(scores, labels)
+    for name in _Ranking._fields:
+        actual, wanted = getattr(ranking, name), getattr(expected, name)
+        if isinstance(wanted, np.ndarray):
+            assert actual.dtype == wanted.dtype, name
+            assert actual.tobytes() == wanted.tobytes(), name
+        else:
+            assert type(actual) is type(wanted) and actual == wanted, name
+    assert ranking.curve().thresholds.tobytes() == expected.curve().thresholds.tobytes()
+    assert np.float64(auc_pr(scores, labels)).tobytes() == np.float64(
+        expected.auc_pr()).tobytes()
+
+
+#: 1+eps and 1+2eps: their midpoint rounds up to 1+2eps, so a split at it
+#: would send both values left and leave the right child empty.
 ADJACENT = (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0))
 
 
@@ -83,14 +129,12 @@ ADJACENT = (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0))
 def forest_cases(draw):
     """Both forest kinds, every subsample mode, tied, free and adjacent columns.
 
-    Free values are float32, whose midpoints float64 holds exactly.  A split
-    on the adjacent column changes nothing, so it recurs at the child: cases
-    with that column get a finite max_depth, since without one both growers
-    recurse until Python's recursion limit.
+    Free values are float32, whose midpoints float64 holds exactly.  The
+    midpoint of the adjacent column's two values rounds up to the larger, so
+    both growers cut at the smaller one there.
     """
     n = draw(st.integers(2, 50))
     columns = []
-    adjacent = False
     for _ in range(draw(st.integers(1, 5))):
         column = draw(st.sampled_from(["tied", "free", "adjacent"]))
         if column == "tied":
@@ -99,15 +143,13 @@ def forest_cases(draw):
         elif column == "free":
             values = draw(st.lists(st.floats(-10, 10, width=32), min_size=n, max_size=n))
         else:
-            adjacent = True
             values = [ADJACENT[b] for b in
                       draw(st.lists(st.booleans(), min_size=n, max_size=n))]
         columns.append(np.array(values, dtype=float))
     labels = np.zeros(n, dtype=np.int64)
     labels[draw(st.permutations(range(n)))[:draw(st.integers(1, n - 1))]] = 1
-    depths = st.integers(1, 8)
     params = {"n_trees": draw(st.integers(1, 4)),
-              "max_depth": draw(depths if adjacent else st.none() | depths),
+              "max_depth": draw(st.none() | st.integers(1, 8)),
               "min_leaf": draw(st.integers(1, 20)),
               "feature_subsample": draw(st.sampled_from(["sqrt", "log2", "all"]))}
     kind = draw(st.sampled_from([RANDOM_FOREST, BALANCED_RANDOM_FOREST]))
@@ -344,6 +386,104 @@ def test_score_reader_returns_or_rejects(fuzz_dir, lines):
         return
     assert scores.shape == labels.shape and scores.size > 0
     assert np.all((scores >= 0) & (scores <= 1)) and set(labels) <= {0, 1}
+
+
+USUAL_FIELDS = {"score": ["0.5", "0.25", "1", "0", "0.125", "0.999"],
+                "label": ["0", "1"], "timestamp": ["0", "1.5", "17", "-3"]}
+ODD_FIELDS = {"score": [" 0.5", "1_0", "+1", "nan", "inf", "-0.0", "0.5 ", "", "x",
+                        "1e-3", "\u0661"],
+              "label": ["+1", " 1", "1_0", "2", "1.0", "", "-0", "01"],
+              "timestamp": ["nan", "inf", "x", " 3", "1_5", ""]}
+#: Quirks a file keeps on the block reader; any other sends it row by row.
+BLOCK_QUIRKS = ("blank line", "no final newline")
+ROW_QUIRKS = ("odd value", "quoted field", "spanning field", "crlf", "cr",
+              "extra field", "missing field", "nul", "bad byte", "header cr")
+
+
+@st.composite
+def score_files(draw):
+    """Score file bytes and whether the block reader must take it whole.
+
+    The header names score and label, with or without timestamp, in any
+    order; the rows hold usual values; up to three quirks go anywhere.
+    """
+    names = draw(st.permutations(["score", "label"]
+                                 + draw(st.sampled_from([[], ["timestamp"]]))))
+    rows = [[draw(st.sampled_from(USUAL_FIELDS[name])) for name in names]
+            for _ in range(draw(st.integers(0, 30)))]
+    ends = ["\n"] * len(rows)
+    quirks = draw(st.lists(st.sampled_from(BLOCK_QUIRKS + ROW_QUIRKS), max_size=3))
+    for quirk in quirks:
+        i = draw(st.integers(0, max(len(rows) - 1, 0)))
+        j = draw(st.integers(0, len(names) - 1))
+        if quirk == "blank line":
+            at = draw(st.integers(0, len(rows)))
+            rows.insert(at, [])
+            ends.insert(at, "\n")
+        elif not rows or j >= len(rows[i]):
+            continue
+        elif quirk == "odd value":
+            rows[i][j] = draw(st.sampled_from(ODD_FIELDS[names[j]]))
+        elif quirk in ("quoted field", "spanning field"):
+            rows[i][j] = f'"{rows[i][j]}' + ('\n"' if quirk == "spanning field" else '"')
+        elif quirk == "crlf":
+            ends[i] = "\r\n"
+        elif quirk == "extra field":
+            rows[i].append("0")
+        elif quirk == "missing field":
+            rows[i].pop()
+        elif quirk in ("cr", "nul"):
+            rows[i][j] += {"cr": "\r", "nul": "\0"}[quirk]
+    header = ",".join(names)
+    if "header cr" in quirks:
+        at = draw(st.integers(0, len(header)))
+        header = header[:at] + "\r" + header[at:]
+    text = header + "\n" + "".join(
+        ",".join(row) + end for row, end in zip(rows, ends))
+    if "no final newline" in quirks:
+        text = text.removesuffix("\n")
+    data = text.encode()
+    if "bad byte" in quirks:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    clean = any(rows) and set(quirks) <= set(BLOCK_QUIRKS)
+    return data, clean
+
+
+def _read_outcome(read, path):
+    """Each array's dtype and bytes, or the ``IngestionError`` text."""
+    try:
+        columns = read(path)
+    except IngestionError as exc:
+        return str(exc)
+    return [None if column is None else (column.dtype.str, column.tobytes())
+            for column in columns]
+
+
+#: Six-character rows and 16-character blocks: block 1 holds rows 1-3.
+_BLOCKS_OF_THREE = b"score,label\n" + b"0.5,1\n" * 5
+
+
+@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.example((_BLOCKS_OF_THREE + b"0.5,1,7\n0.5,1\n", False), 16)
+@hypothesis.example((_BLOCKS_OF_THREE + b"0.5,1\n0.5,1\n0.\xff,1\n", False), 16)
+@hypothesis.example((b'label,score\n1,"0.5\n"\n\n0,-0.0\r\n1, 0.5\n0,+1', False), 1)
+@hypothesis.example((b"score,label\n0.5,1\n\n", True), 1)
+@hypothesis.example((b"score,label\n0.5" + b" " * 131_072 + b",1\n", False), 64)
+@hypothesis.example((b"score,label," + b"x" * 131_073 + b"\n0.5,1,0\n", False), 64)
+@hypothesis.example((b"score,label\n0.5,1,0\n1\n", False), 64)
+@hypothesis.example((b"score,label\n0.5\r,1\n", False), 64)
+@hypothesis.example((b'score,"a,b",label\n0.5,0,0,1\n', False), 64)
+@hypothesis.given(score_files(), st.sampled_from([1, 16, 64, experiment._SCORE_BLOCK_CHARS]))
+def test_score_blocks_read_like_score_rows(fuzz_dir, case, block_chars):
+    data, clean = case
+    path = fuzz_dir / "blocks.csv"
+    path.write_bytes(data)
+    with mock.patch.object(experiment, "_SCORE_BLOCK_CHARS", block_chars):
+        assert (_read_outcome(read_scores_csv, path)
+                == _read_outcome(experiment._read_score_rows, path))
+        if clean:
+            assert experiment._split_score_blocks(path) is not None
 
 
 JSON_KEYS = (st.sampled_from(["", "%", "%s", "%(x)s", "{", "{0}", "}", '"', "\\",
