@@ -39,6 +39,13 @@ KINDS = (DUMMY, KNN, RANDOM_FOREST, BALANCED_RANDOM_FOREST)
 MODEL_FORMAT = "falsecall-model"
 MODEL_VERSION = 1
 
+#: Each fitted array with its dtype: a tree's in the field order of
+#: ``_grow_tree``'s node lists, then a kNN model's.  Growth builds them,
+#: ``save_model`` writes them as lists and ``load_model`` reads them back.
+_TREE_ARRAYS = {"feature": np.int64, "threshold": float, "left": np.int64,
+               "right": np.int64, "vote": np.int64}
+_KNN_ARRAYS = {"mean": float, "std": float, "X": float, "y": np.int64}
+
 
 @dataclass(frozen=True)
 class ClassifierSpec:
@@ -170,20 +177,9 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, weight: np.ndarray,
     """
     n_features = X.shape[1]
     weighted_y = weight * y
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    vote: list[int] = []
-
-    def leaf(pos: int, count: int) -> int:
-        node = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        vote.append(1 if pos > count - pos else 0)
-        return node
+    # One [feature, threshold, left, right, vote] list per node, in pre-order;
+    # a node starts as a leaf and becomes a split once its children are grown.
+    nodes: list[list] = []
 
     def best_split(rows: np.ndarray, feats: np.ndarray, n: int, total_pos: int):
         # ``rows`` has one line per candidate feature, in ascending value
@@ -216,9 +212,11 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, weight: np.ndarray,
         ids = rows[0]
         n = int(weight[ids].sum())
         pos = int(weighted_y[ids].sum())
+        node = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, 1 if pos > n - pos else 0])
         if (pos == 0 or pos == n or n < 2 * min_leaf
                 or (max_depth is not None and depth >= max_depth)):
-            return leaf(pos, n)
+            return node
         if n_candidates < n_features:
             feats = rng.choice(n_features, n_candidates, replace=False)
             feats.sort()
@@ -226,27 +224,19 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, weight: np.ndarray,
         else:
             split = best_split(rows, np.arange(n_features), n, pos)
         if split is None:
-            return leaf(pos, n)
+            return node
         f, cut = split
-        node = len(feature)
-        feature.append(f)
-        threshold.append(cut)
-        left.append(-1)
-        right.append(-1)
-        vote.append(-1)
         # Boolean selection is stable, so each child stays sorted.
         go_left = X[:, f][rows] <= cut
-        left[node] = build(rows[go_left].reshape(n_features, -1), depth + 1)
-        right[node] = build(rows[~go_left].reshape(n_features, -1), depth + 1)
+        left = build(rows[go_left].reshape(n_features, -1), depth + 1)
+        right = build(rows[~go_left].reshape(n_features, -1), depth + 1)
+        nodes[node] = [f, cut, left, right, -1]
         return node
 
     present = weight[order] > 0
     build(order[present].reshape(n_features, -1), 0)
-    return {"feature": np.array(feature, dtype=np.int64),
-            "threshold": np.array(threshold, dtype=float),
-            "left": np.array(left, dtype=np.int64),
-            "right": np.array(right, dtype=np.int64),
-            "vote": np.array(vote, dtype=np.int64)}
+    return {name: np.array(column, dtype=dtype)
+            for (name, dtype), column in zip(_TREE_ARRAYS.items(), zip(*nodes))}
 
 
 def _apply_tree(tree: dict, X: np.ndarray) -> np.ndarray:
@@ -327,7 +317,7 @@ def _train_knn(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray) -> dict:
     std = X.std(axis=0)
     std = np.where(std > 0, std, 1.0)
     return {"k": k, "mean": mean, "std": std,
-            "X": (X - mean) / std, "y": y.astype(np.int64)}
+            "X": (X - mean) / std, "y": y.astype(_KNN_ARRAYS["y"])}
 
 
 def train(spec: ClassifierSpec, matrix: EncodedMatrix) -> TrainedModel:
@@ -347,12 +337,7 @@ def train(spec: ClassifierSpec, matrix: EncodedMatrix) -> TrainedModel:
 
     if min(counts) == 0:
         raise InputError(f"{spec.kind} training needs both classes, got counts {counts}")
-    if spec.kind == KNN:
-        state = _train_knn(spec, X, y)
-    elif spec.kind in (RANDOM_FOREST, BALANCED_RANDOM_FOREST):
-        state = _train_forest(spec, X, y)
-    else:
-        raise InputError(f"unknown classifier kind {spec.kind!r}")
+    state = (_train_knn if spec.kind == KNN else _train_forest)(spec, X, y)
     return TrainedModel(spec=spec, state=state, metadata=metadata)
 
 
@@ -377,13 +362,11 @@ def score(model: TrainedModel, rows: Union[EncodedMatrix, np.ndarray]) -> np.nda
         return np.full(X.shape[0], float(model.state["majority"]))
     if kind == KNN:
         return _score_knn(model.state, X)
-    if kind in (RANDOM_FOREST, BALANCED_RANDOM_FOREST):
-        votes = np.zeros(X.shape[0])
-        trees = model.state["trees"]
-        for tree in trees:
-            votes += _apply_tree(tree, X)
-        return votes / len(trees)
-    raise InputError(f"unknown classifier kind {kind!r}")
+    votes = np.zeros(X.shape[0])
+    trees = model.state["trees"]
+    for tree in trees:
+        votes += _apply_tree(tree, X)
+    return votes / len(trees)
 
 
 #: Size of the float64 ``(rows, n_train, n_features)`` difference temporary
@@ -445,18 +428,22 @@ def classify(model: TrainedModel, rows: Union[EncodedMatrix, np.ndarray]) -> np.
 # Persistence
 
 
+def _converted_state(kind: str, state: dict, convert) -> dict:
+    """``state`` with ``convert(value, dtype)`` applied to each fitted array."""
+    if kind == DUMMY:
+        return state
+    if kind == KNN:
+        return {**state, **{name: convert(state[name], dtype)
+                            for name, dtype in _KNN_ARRAYS.items()}}
+    return {**state, "trees": [{name: convert(tree[name], dtype)
+                                for name, dtype in _TREE_ARRAYS.items()}
+                               for tree in state["trees"]]}
+
+
 def save_model(model: TrainedModel, path) -> None:
     """Persist as a self-describing, versioned JSON document."""
-    state = model.state
-    if model.spec.kind in (RANDOM_FOREST, BALANCED_RANDOM_FOREST):
-        state = dict(state)
-        state["trees"] = [{key: tree[key].tolist() for key in
-                           ("feature", "threshold", "left", "right", "vote")}
-                          for tree in state["trees"]]
-    elif model.spec.kind == KNN:
-        state = {"k": state["k"], "mean": state["mean"].tolist(),
-                 "std": state["std"].tolist(), "X": state["X"].tolist(),
-                 "y": state["y"].tolist()}
+    state = _converted_state(model.spec.kind, model.state,
+                             lambda array, dtype: array.tolist())
     document = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -481,19 +468,7 @@ def load_model(path) -> TrainedModel:
     spec = ClassifierSpec(kind=document["kind"],
                           hyperparameters=document["hyperparameters"],
                           seed=document["seed"])
-    state = document["state"]
-    if spec.kind in (RANDOM_FOREST, BALANCED_RANDOM_FOREST):
-        state = dict(state)
-        state["trees"] = [{"feature": np.array(t["feature"], dtype=np.int64),
-                           "threshold": np.array(t["threshold"], dtype=float),
-                           "left": np.array(t["left"], dtype=np.int64),
-                           "right": np.array(t["right"], dtype=np.int64),
-                           "vote": np.array(t["vote"], dtype=np.int64)}
-                          for t in state["trees"]]
-    elif spec.kind == KNN:
-        state = {"k": int(state["k"]), "mean": np.array(state["mean"]),
-                 "std": np.array(state["std"]), "X": np.array(state["X"]),
-                 "y": np.array(state["y"], dtype=np.int64)}
+    state = _converted_state(spec.kind, document["state"], np.array)
     threshold = document["decision_threshold"]
     if threshold is not None:
         threshold = float(threshold)

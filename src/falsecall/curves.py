@@ -41,6 +41,14 @@ class OperatingCurve:
     v: np.ndarray
     s: np.ndarray
 
+    def __post_init__(self):
+        if len(self.thresholds) == 0:
+            raise InputError("empty curve")
+        if not len(self.thresholds) == len(self.v) == len(self.s):
+            raise InputError(
+                f"curve arrays differ in length: {len(self.thresholds)} thresholds, "
+                f"{len(self.v)} v, {len(self.s)} s")
+
     def __len__(self) -> int:
         return len(self.thresholds)
 
@@ -134,8 +142,6 @@ class VolumeAtSlip(NamedTuple):
 
 def best_youden(curve: OperatingCurve) -> BestYouden:
     """Maximum of v - s over the curve; ties resolved to the smallest threshold."""
-    if len(curve) == 0:
-        raise InputError("empty curve")
     j = curve.v - curve.s
     best = j.max()
     candidates = np.nonzero(j == best)[0]
@@ -150,8 +156,6 @@ def volume_at_target_slip(curve: OperatingCurve, targets: TargetSpec) -> VolumeA
     all-positive point (v=0, s=0) meets any slip target, so swept curves
     always yield at least (0.0, threshold).
     """
-    if len(curve) == 0:
-        raise InputError("empty curve")
     ok = np.nonzero(curve.s <= targets.s_target)[0]
     if ok.size == 0:
         return VolumeAtSlip(0.0, None)
@@ -190,8 +194,6 @@ def constrained_auc_case(curve: OperatingCurve,
     the achievable point at v_i+1, so any overlap with the zone puts that
     point in it.  Cases 1 and 3 keep their numbers.
     """
-    if len(curve) == 0:
-        raise InputError("empty curve")
     st, vt = targets.s_target, targets.v_target
     env_v, env_s = curve.envelope()
     left, right, seg_s = env_v[:-1], env_v[1:], env_s[1:]

@@ -162,13 +162,15 @@ def _atomic_output(path):
 
 def _parse_timestamp(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    try:
-        return datetime.fromisoformat(text).timestamp()
-    except ValueError:
-        raise IngestionError(f"unparseable timestamp {text!r}") from None
+        try:
+            return datetime.fromisoformat(text).timestamp()
+        except ValueError:
+            raise IngestionError(f"unparseable timestamp {text!r}") from None
+    if not math.isfinite(value):
+        raise IngestionError(f"non-finite timestamp {text!r}")
+    return value
 
 
 def _is_float(text: str) -> bool:

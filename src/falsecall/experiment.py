@@ -426,9 +426,10 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
     """Read a score export: header with score,label[,timestamp] columns.
 
     Empty lines are skipped; line numbers in errors are the file's own.
-    Unquoted LF-only files are split a block at a time; any other file, and
-    any file with a problem, is read row by row, which gives the same values
-    and is the one reader that words errors.
+    Timestamps must be finite.  Unquoted files, whatever their line ends,
+    are split a block at a time; any other file, and any file with a
+    problem, is read row by row, which gives the same values and is the one
+    reader that words errors.
     """
     columns = _split_score_blocks(path)
     return columns if columns is not None else _read_score_rows(path)
@@ -437,16 +438,18 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
 def _split_score_blocks(path):
     """``read_scores_csv``'s arrays from blocks split on commas, or ``None``.
 
-    A block qualifies when it holds no quote, CR or NUL and every non-empty
-    line has one comma fewer than the header has columns and fits the csv
-    field limit: ``str.split`` then yields ``csv.reader``'s fields.  Those
-    are cast by the same ``float`` and ``int`` calls as row by row.  Any
-    other header or block, a cast or range failure, an open or decode error,
-    or a file without rows gives ``None``.
+    The file is read with newline translation: outside quotes, ``csv.reader``
+    also ends a record at CR, LF or CRLF.  A block qualifies when it holds
+    no quote or NUL and every non-empty line has one comma fewer than the
+    header has columns and fits the csv field limit: ``str.split`` then
+    yields ``csv.reader``'s fields.  Those are cast by the same ``float``
+    and ``int`` calls as row by row.  Any other header or block, a cast,
+    range or finiteness failure, an open or decode error, or a file without
+    rows gives ``None``.
     """
     blocks = []
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             header = handle.readline()
             if not _plain(header) or len(header) > csv.field_size_limit():
                 return None
@@ -479,7 +482,8 @@ def _split_score_blocks(path):
                          for col, cast in casts]
                 score, label = block[:2]
                 if not (np.all((score >= 0.0) & (score <= 1.0))
-                        and np.all((label == 0) | (label == 1))):
+                        and np.all((label == 0) | (label == 1))
+                        and np.all(np.isfinite(block[2:]))):
                     return None
                 blocks.append(block)
     except (OSError, ValueError, OverflowError):
@@ -491,8 +495,8 @@ def _split_score_blocks(path):
 
 
 def _plain(text: str) -> bool:
-    """No quote, CR or NUL: the characters that make csv lines more than splits."""
-    return '"' not in text and "\r" not in text and "\0" not in text
+    """No quote or NUL: the characters that make csv lines more than splits."""
+    return '"' not in text and "\0" not in text
 
 
 def _read_score_rows(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
@@ -524,7 +528,10 @@ def _read_score_rows(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]
                 if label not in (0, 1):
                     raise ValueError(f"label {label} not in {{0, 1}}")
                 if ts_col is not None:
-                    stamps.append(float(row[ts_col]))
+                    stamp = float(row[ts_col])
+                    if not math.isfinite(stamp):
+                        raise ValueError(f"non-finite timestamp {row[ts_col]!r}")
+                    stamps.append(stamp)
             except ValueError as exc:
                 problems.append(f"line {reader.line_num}: {exc}")
                 continue

@@ -90,8 +90,6 @@ def render_table(aggregates: dict, columns=DEFAULT_COLUMNS) -> tuple[str, dict]:
 
 def export_curve(curve: OperatingCurve, targets: TargetSpec) -> dict:
     """Curve points, target-zone rectangle and the applied area case."""
-    if len(curve) == 0:
-        raise InputError("empty curve")
     cauc_value, case = constrained_auc_case(curve, targets)
     points = [{"threshold": _json_safe(float(t)), "v": float(v),
                "one_minus_s": float(1.0 - s)}

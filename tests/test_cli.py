@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from falsecall.cli import NO_THRESHOLD_MARK, main
+from falsecall.cli import NO_THRESHOLD_MARK, main, parse_kv_text
 from falsecall.dataset import load_csv
+from falsecall.errors import IngestionError
 
 TARGET_FLAGS = ["--s-target", "0.01", "--v-target", "0.40"]
 
@@ -107,6 +108,17 @@ class TestEvaluate:
                         "--out", str(tmp_path / "out")])
         assert code == 1
         assert "line 3" in capsys.readouterr().err
+
+    def test_non_finite_timestamps_exit_one(self, tmp_path, capsys):
+        scores = write_scores(tmp_path / "s.csv",
+                              ["0.9,1,0", "0.1,0,nan", "0.8,0,1", "0.3,1,inf",
+                               "0.2,0,2", "0.7,1,3"], header="score,label,timestamp")
+        out = tmp_path / "out"
+        assert run_cli(["evaluate", "--scores", scores, *TARGET_FLAGS,
+                        "--slices-by-timestamp", "2", "--out", str(out)]) == 1
+        assert ("s.csv: line 3: non-finite timestamp 'nan'; "
+                "line 5: non-finite timestamp 'inf'") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exits_one(self, tmp_path):
         assert run_cli(["evaluate", "--scores", str(tmp_path / "nope.csv"),
@@ -410,3 +422,14 @@ class TestExitCodes:
 
     def test_unknown_subcommand_exits_one(self):
         assert run_cli(["frobnicate"]) == 1
+
+
+class TestConfigText:
+    def test_comment_and_blank_lines_are_skipped(self):
+        text = "# models\n\nmodels = dummy\n   # indented comment\nlabel = a # b\n"
+        assert parse_kv_text(text) == {"models": "dummy", "label": "a # b"}
+
+    def test_duplicate_key_is_reported_with_its_line(self):
+        with pytest.raises(IngestionError) as info:
+            parse_kv_text("budget = 1\n# again\nbudget = 2\n", origin="c.txt")
+        assert str(info.value) == "c.txt: line 3: duplicate key 'budget'"

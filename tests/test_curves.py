@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from falsecall.curves import (auc_pr, best_youden, constrained_auc,
-                              constrained_auc_case, select_threshold,
-                              sweep_thresholds, volume_at_target_slip)
+from falsecall.curves import (OperatingCurve, auc_pr, best_youden,
+                              constrained_auc, constrained_auc_case,
+                              select_threshold, sweep_thresholds,
+                              volume_at_target_slip)
 from falsecall.errors import InputError
 from falsecall.metrics import SENTINEL_THRESHOLD, TargetSpec
 
@@ -118,6 +119,17 @@ def random_case(seed, n_max=200, prevalences=(0.01, 0.05, 0.20)):
 
 
 # ---------------------------------------------------------------------------
+
+
+class TestOperatingCurve:
+    def test_empty_curve_rejected(self):
+        with pytest.raises(InputError, match="^empty curve$"):
+            OperatingCurve(np.array([]), np.array([]), np.array([]))
+
+    def test_misaligned_arrays_rejected(self):
+        with pytest.raises(InputError, match="differ in length"):
+            OperatingCurve(np.array([0.5, SENTINEL_THRESHOLD]), np.array([0.0, 1.0]),
+                           np.array([0.0]))
 
 
 class TestSweep:

@@ -50,6 +50,21 @@ class TestLoadCsv:
         ds = load_csv(path, timestamp_column="ts", label_column="label")
         assert list(ds.labels) == [1, 0]
 
+    def test_unparseable_timestamp_reported_with_its_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("ts,x,label\n0,1,0\nyesterday,2,1\n")
+        with pytest.raises(IngestionError) as info:
+            load_csv(path, timestamp_column="ts", label_column="label")
+        assert str(info.value) == f"{path}: line 3: unparseable timestamp 'yesterday'"
+
+    def test_non_finite_timestamps_reported_with_their_lines(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("ts,x,label\n1,1,0\nnan,2,1\n3,3,0\ninf,4,1\n")
+        with pytest.raises(IngestionError) as info:
+            load_csv(path, timestamp_column="ts", label_column="label")
+        assert str(info.value) == (f"{path}: line 3: non-finite timestamp 'nan'; "
+                                   "line 5: non-finite timestamp 'inf'")
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("ts,x\n0,1\n")

@@ -168,6 +168,30 @@ class TestOptimizeHyperparams:
         assert a.spec.hyperparameters == b.spec.hyperparameters
         space.validate(a.spec.hyperparameters)
 
+    def test_surrogate_proposals_over_a_forest_space(self):
+        space = HyperParamSpace.default(RANDOM_FOREST).narrowed(
+            n_trees=(10, 30), feature_subsample=("sqrt", "all"))
+        rng = np.random.default_rng(0)
+        history = []
+        for i in range(8):
+            params = space.sample(rng)
+            history.append(experiment.TrialResult(
+                spec=experiment.ClassifierSpec(RANDOM_FOREST, params),
+                fold_performances=[], fold_thresholds=[],
+                mean_performance=float(params["feature_subsample"] == "all") + i / 100,
+                mean_threshold=0.5))
+
+        def proposals(seed):
+            generator = np.random.default_rng(seed)
+            return [experiment._propose_surrogate(space, generator, history)
+                    for _ in range(5)]
+
+        drawn = proposals(1)
+        assert drawn == proposals(1)
+        for params in drawn:
+            space.validate(params)
+        assert {params["feature_subsample"] for params in drawn} <= {"sqrt", "all"}
+
     def test_k_above_the_fold_training_rows_is_rejected_when_drawn(self):
         matrix, _ = one_hot_fit_transform(informative_dataset(n=24, prevalence=0.5))
         space = HyperParamSpace.default(KNN)  # k up to 51, folds train on 12 rows
@@ -386,15 +410,29 @@ class TestEvaluateExternal:
     def test_unquoted_file_never_enters_the_row_loop(self, tmp_path):
         rng = np.random.default_rng(0)
         rows = [f"{s:.3f},{int(s > 0.99)},{t}" for t, s in enumerate(rng.random(100_000))]
+        path = tmp_path / "scores.csv"
+        for end in ("\n", "\r\n"):
+            path.write_text(end.join(["score,label,timestamp", *rows, ""]), newline="")
+            expected = experiment._read_score_rows(path)
+            with mock.patch.object(experiment, "_read_score_rows",
+                                   wraps=experiment._read_score_rows) as row_reader:
+                columns = read_scores_csv(path)
+            row_reader.assert_not_called()
+            for column, reference in zip(columns, expected, strict=True):
+                assert column.dtype == reference.dtype
+                assert column.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("block_chars", [16, experiment._SCORE_BLOCK_CHARS])
+    def test_non_finite_timestamps_are_reported_with_their_lines(self, tmp_path,
+                                                                 block_chars):
+        rows = ["0.9,1,1", "0.1,0,nan", "0.3,0,2", "0.2,1,inf", "0.4,0,-inf", "0.5,0,3"]
         path = self._write(tmp_path, rows, header="score,label,timestamp")
-        expected = experiment._read_score_rows(path)
-        with mock.patch.object(experiment, "_read_score_rows",
-                               wraps=experiment._read_score_rows) as row_reader:
-            columns = read_scores_csv(path)
-        row_reader.assert_not_called()
-        for column, reference in zip(columns, expected, strict=True):
-            assert column.dtype == reference.dtype
-            assert column.tobytes() == reference.tobytes()
+        with mock.patch.object(experiment, "_SCORE_BLOCK_CHARS", block_chars), \
+                pytest.raises(IngestionError) as info:
+            read_scores_csv(path)
+        assert str(info.value) == (
+            f"{path}: line 3: non-finite timestamp 'nan'; "
+            "line 5: non-finite timestamp 'inf'; line 6: non-finite timestamp '-inf'")
 
     def test_missing_columns_rejected(self, tmp_path):
         path = self._write(tmp_path, ["0.5"], header="score")

@@ -395,8 +395,8 @@ ODD_FIELDS = {"score": [" 0.5", "1_0", "+1", "nan", "inf", "-0.0", "0.5 ", "", "
               "label": ["+1", " 1", "1_0", "2", "1.0", "", "-0", "01"],
               "timestamp": ["nan", "inf", "x", " 3", "1_5", ""]}
 #: Quirks a file keeps on the block reader; any other sends it row by row.
-BLOCK_QUIRKS = ("blank line", "no final newline")
-ROW_QUIRKS = ("odd value", "quoted field", "spanning field", "crlf", "cr",
+BLOCK_QUIRKS = ("blank line", "no final newline", "crlf")
+ROW_QUIRKS = ("odd value", "quoted field", "spanning field", "cr",
               "extra field", "missing field", "nul", "bad byte", "header cr")
 
 
