@@ -117,16 +117,39 @@ class SplitPlan:
 # File access
 
 
-@contextmanager
-def _csv_reader(path):
-    """``csv.reader`` streaming the rows of a UTF-8 CSV file.
+def _raise_problems(path, problems: list[str]) -> None:
+    """Raise one ``IngestionError`` naming the file and its first 20 problems."""
+    if problems:
+        raise IngestionError(f"{path}: " + "; ".join(problems[:20]))
 
-    A file that cannot be opened, is not UTF-8 or is not CSV raises
-    ``IngestionError`` naming the file, also part-way through the rows.
+
+def _csv_rows(path, required: Sequence[str], problems: list[str]):
+    """The header, then ``(line, row)`` for each data row of a UTF-8 CSV file.
+
+    Rows stream from one ``csv.reader``; ``line`` is the file's own number
+    of the row's last line.  Empty lines are skipped, and a row whose field
+    count differs from the header's goes to ``problems`` instead.  An empty
+    file, a header missing a ``required`` column or naming one twice, and a
+    file that cannot be opened, decoded or parsed raise ``IngestionError``.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            yield csv.reader(handle)
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                _raise_problems(path, ["file is empty"])
+            _raise_problems(path, [f"missing column {name!r}" for name in required
+                                   if name not in header]
+                            + [f"line {reader.line_num}: column {name!r} appears twice"
+                               for name in dict.fromkeys(header)
+                               if header.count(name) > 1])
+            yield header
+            for row in reader:
+                if len(row) == len(header):
+                    yield reader.line_num, row
+                elif row:
+                    problems.append(f"line {reader.line_num}: expected "
+                                    f"{len(header)} fields, got {len(row)}")
     except OSError as exc:
         raise IngestionError(f"cannot open {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -173,12 +196,12 @@ def _parse_timestamp(text: str) -> float:
     return value
 
 
-def _is_float(text: str) -> bool:
+def _floats(cells: list[str]) -> Optional[np.ndarray]:
+    """The cells as floats with NaN for empty ones, or ``None`` if one is text."""
     try:
-        float(text)
-        return True
+        return np.array([float(c) if c else np.nan for c in cells], dtype=float)
     except ValueError:
-        return False
+        return None
 
 
 def load_csv(path, timestamp_column: str = "timestamp",
@@ -191,44 +214,32 @@ def load_csv(path, timestamp_column: str = "timestamp",
     a float, categorical otherwise; ``categorical_columns`` overrides the
     inference.  Labels are mapped via ``positive_label`` (that literal -> 1,
     the single remaining literal -> 0); without it the column must already
-    contain 0/1.  ``missing="reject"`` fails on empty numeric cells with line
-    numbers, ``missing="impute"`` stores them as NaN for the encoder to fill
-    from its fitted medians.  Empty lines are skipped; line numbers in errors
-    are the file's own.
+    contain 0/1.  Only an empty numeric cell is missing: ``missing="reject"``
+    fails on it with line numbers, ``missing="impute"`` stores it as NaN for
+    the encoder to fill from its fitted medians.  A ``nan`` or ``inf`` cell
+    is rejected under either policy.  Empty lines are skipped; line numbers
+    in errors are the file's own.
     """
     if missing not in ("reject", "impute"):
         raise InputError(f"missing policy must be 'reject' or 'impute', got {missing!r}")
-    rows, line_numbers = [], []
-    with _csv_reader(path) as reader:
-        header = next(reader, None)
-        for row in reader:
-            if row:
-                rows.append(row)
-                line_numbers.append(reader.line_num)
-    if header is None:
-        raise IngestionError(f"{path}: file is empty")
-
-    for required in (timestamp_column, label_column):
-        if required not in header:
-            raise IngestionError(f"{path}: missing column {required!r}")
+    problems: list[str] = []
+    reader = _csv_rows(path, (timestamp_column, label_column), problems)
+    header = next(reader)
     feature_names = [h for h in header if h not in (timestamp_column, label_column)]
     col_of = {name: header.index(name) for name in header}
 
-    problems: list[str] = []
-    n = len(rows)
-    timestamps = np.empty(n, dtype=float)
-    raw_labels = []
-    for i, (row, line_no) in enumerate(zip(rows, line_numbers)):
-        if len(row) != len(header):
-            problems.append(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-            continue
+    rows, line_numbers, stamps, raw_labels = [], [], [], []
+    for line, row in reader:
         try:
-            timestamps[i] = _parse_timestamp(row[col_of[timestamp_column]])
+            stamps.append(_parse_timestamp(row[col_of[timestamp_column]]))
         except IngestionError as exc:
-            problems.append(f"line {line_no}: {exc}")
+            problems.append(f"line {line}: {exc}")
+        rows.append(row)
+        line_numbers.append(line)
         raw_labels.append(row[col_of[label_column]])
-    if problems:
-        raise IngestionError(f"{path}: " + "; ".join(problems[:20]))
+    _raise_problems(path, problems)
+    n = len(rows)
+    timestamps = np.array(stamps, dtype=float)
 
     distinct = sorted(set(raw_labels))
     if positive_label is not None:
@@ -256,20 +267,20 @@ def load_csv(path, timestamp_column: str = "timestamp",
     schema: list[ColumnSpec] = []
     for name in feature_names:
         cells = [row[col_of[name]] for row in rows]
-        nonempty = [c for c in cells if c != ""]
-        numeric = name not in forced_cat and all(_is_float(c) for c in nonempty)
-        if numeric:
-            empties = [line for line, c in zip(line_numbers, cells) if c == ""]
-            if empties and missing == "reject":
-                shown = ", ".join(str(l) for l in empties[:10])
-                raise IngestionError(
-                    f"{path}: column {name!r} has missing numeric values at lines {shown}")
-            values = np.array([float(c) if c != "" else np.nan for c in cells])
-            columns[name] = values
-            schema.append(ColumnSpec(name, NUMERIC))
-        else:
+        values = None if name in forced_cat else _floats(cells)
+        if values is None:
             columns[name] = np.array(cells, dtype=object)
             schema.append(ColumnSpec(name, CATEGORICAL))
+            continue
+        bad = [line_numbers[i] for i in np.flatnonzero(~np.isfinite(values))
+               if cells[i] or missing == "reject"]
+        if bad:
+            shown = ", ".join(str(line) for line in bad[:10])
+            problems.append(f"column {name!r} has missing or non-finite values "
+                            f"at lines {shown}")
+        columns[name] = values
+        schema.append(ColumnSpec(name, NUMERIC))
+    _raise_problems(path, problems)
 
     order = np.argsort(timestamps, kind="stable")
     return Dataset(

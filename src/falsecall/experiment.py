@@ -30,7 +30,7 @@ from .classifiers import ClassifierSpec, HyperParamSpace, TrainedModel
 from .curves import (OperatingCurve, auc_pr, best_youden, constrained_auc,
                      select_threshold, sweep_thresholds, volume_at_target_slip)
 from .dataset import Dataset, EncodedMatrix, FeatureEncoder, SplitPlan, \
-    _csv_reader, chrono_split, stratified_kfold
+    _csv_rows, _parse_timestamp, _raise_problems, chrono_split, stratified_kfold
 from .errors import (FalseCallError, IngestionError, InputError,
                      UndefinedRateError)
 from .metrics import (SENTINEL_THRESHOLD, MetricReport, TargetSpec,
@@ -216,8 +216,6 @@ def _propose_surrogate(space: HyperParamSpace, rng: np.random.Generator,
     rest = [history[i].spec.hyperparameters for i in ranked[n_good:]]
 
     def likelihood(params: dict, group: list[dict]) -> float:
-        if not group:
-            return 1.0
         value = 1.0
         for name, (lo, hi) in space.int_ranges.items():
             width = max((hi - lo) / 4.0, 1.0)
@@ -426,10 +424,10 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
     """Read a score export: header with score,label[,timestamp] columns.
 
     Empty lines are skipped; line numbers in errors are the file's own.
-    Timestamps must be finite.  Unquoted files, whatever their line ends,
-    are split a block at a time; any other file, and any file with a
-    problem, is read row by row, which gives the same values and is the one
-    reader that words errors.
+    Timestamps are numbers or ISO 8601, and must be finite.  Unquoted files
+    with numeric stamps, whatever their line ends, are split a block at a
+    time; any other file, and any file with a problem, is read row by row,
+    which gives the same values and is the one reader that words errors.
     """
     columns = _split_score_blocks(path)
     return columns if columns is not None else _read_score_rows(path)
@@ -443,9 +441,9 @@ def _split_score_blocks(path):
     no quote or NUL and every non-empty line has one comma fewer than the
     header has columns and fits the csv field limit: ``str.split`` then
     yields ``csv.reader``'s fields.  Those are cast by the same ``float``
-    and ``int`` calls as row by row.  Any other header or block, a cast,
-    range or finiteness failure, an open or decode error, or a file without
-    rows gives ``None``.
+    and ``int`` calls as row by row.  Any other header or block (a header
+    naming a column twice too), a cast, range or finiteness failure, an open
+    or decode error, or a file without rows gives ``None``.
     """
     blocks = []
     try:
@@ -454,7 +452,8 @@ def _split_score_blocks(path):
             if not _plain(header) or len(header) > csv.field_size_limit():
                 return None
             header = header.rstrip("\n").split(",")
-            if "score" not in header or "label" not in header:
+            if ("score" not in header or "label" not in header
+                    or len(set(header)) < len(header)):
                 return None
             width = len(header)
             casts = [(header.index("score"), float), (header.index("label"), int)]
@@ -500,45 +499,30 @@ def _plain(text: str) -> bool:
 
 
 def _read_score_rows(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """``read_scores_csv`` through ``csv.reader``, one row at a time."""
-    with _csv_reader(path) as reader:
-        header = next(reader, None)
-        if header is None:
-            raise IngestionError(f"{path}: file is empty")
-        for required in ("score", "label"):
-            if required not in header:
-                raise IngestionError(f"{path}: missing column {required!r}")
-        score_col = header.index("score")
-        label_col = header.index("label")
-        ts_col = header.index("timestamp") if "timestamp" in header else None
-        scores, labels, stamps = [], [], []
-        problems = []
-        width = len(header)
-        for row in reader:
-            if len(row) != width:
-                if row:
-                    problems.append(f"line {reader.line_num}: expected {width} "
-                                    f"fields, got {len(row)}")
-                continue
-            try:
-                value = float(row[score_col])
-                label = int(row[label_col])
-                if not 0.0 <= value <= 1.0:
-                    raise ValueError(f"score {value} outside [0, 1]")
-                if label not in (0, 1):
-                    raise ValueError(f"label {label} not in {{0, 1}}")
-                if ts_col is not None:
-                    stamp = float(row[ts_col])
-                    if not math.isfinite(stamp):
-                        raise ValueError(f"non-finite timestamp {row[ts_col]!r}")
-                    stamps.append(stamp)
-            except ValueError as exc:
-                problems.append(f"line {reader.line_num}: {exc}")
-                continue
-            scores.append(value)
-            labels.append(label)
-        if problems:
-            raise IngestionError(f"{path}: " + "; ".join(problems[:20]))
+    """``read_scores_csv`` through the shared CSV row reader, one row at a time."""
+    problems: list[str] = []
+    reader = _csv_rows(path, ("score", "label"), problems)
+    header = next(reader)
+    score_col = header.index("score")
+    label_col = header.index("label")
+    ts_col = header.index("timestamp") if "timestamp" in header else None
+    scores, labels, stamps = [], [], []
+    for line, row in reader:
+        try:
+            value = float(row[score_col])
+            label = int(row[label_col])
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"score {value} outside [0, 1]")
+            if label not in (0, 1):
+                raise ValueError(f"label {label} not in {{0, 1}}")
+            if ts_col is not None:
+                stamps.append(_parse_timestamp(row[ts_col]))
+        except (ValueError, IngestionError) as exc:
+            problems.append(f"line {line}: {exc}")
+            continue
+        scores.append(value)
+        labels.append(label)
+    _raise_problems(path, problems)
     if not scores:
         raise IngestionError(f"{path}: no data rows")
     stamps_arr = np.array(stamps) if ts_col is not None else None

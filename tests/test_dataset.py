@@ -1,6 +1,10 @@
+from datetime import datetime
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from falsecall import experiment
 from falsecall.dataset import (CATEGORICAL, NUMERIC, ColumnSpec, Dataset,
                                SyntheticConfig, chrono_split,
                                generate_synthetic, load_csv,
@@ -83,6 +87,14 @@ class TestLoadCsv:
         path.write_text("ts,x,label\n0,1,0\n1,,1\n2,3,0\n")
         with pytest.raises(IngestionError, match="line"):
             load_csv(path, timestamp_column="ts", label_column="label")
+        # Only an empty cell is missing; a literal nan or inf never is.
+        path.write_text("ts,x,label\n0,1,0\n1,,1\n2,nan,0\n3,inf,1\n4,5,0\n")
+        for missing, lines in (("reject", "3, 4, 5"), ("impute", "4, 5")):
+            with pytest.raises(IngestionError) as info:
+                load_csv(path, timestamp_column="ts", label_column="label",
+                         missing=missing)
+            assert str(info.value) == (
+                f"{path}: column 'x' has missing or non-finite values at lines {lines}")
 
     @pytest.mark.parametrize("text", [
         "ts,x,label\n0,1,0\n1,2,1\n2,3,0\n\n",
@@ -156,6 +168,55 @@ class TestLoadCsv:
         write_csv(ds, path)
         assert load_csv(path).n_rows == 120
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+#: Each body is a dataset CSV (``score`` is a numeric feature) and a score
+#: export at once, with the problem both readers report, or None for accepted.
+SHARED_CSV_RULES = {
+    "field-count-after-blank-line": (
+        "timestamp,score,label\n0,0.5,1\n\n1,0.2\n", "line 4: expected 3 fields, got 2"),
+    "field-count-after-multiline-field": (
+        'timestamp,score,label\n0,"0.5\n",1\n1,0.2\n', "line 4: expected 3 fields, got 2"),
+    "non-finite-timestamp": (
+        "timestamp,score,label\n0,0.5,1\nnan,0.2,0\ninf,0.3,1\n",
+        "line 3: non-finite timestamp 'nan'; line 4: non-finite timestamp 'inf'"),
+    "unparseable-timestamp": (
+        "timestamp,score,label\n0,0.5,1\nyesterday,0.2,0\n",
+        "line 3: unparseable timestamp 'yesterday'"),
+    "iso-timestamp": (
+        "timestamp,score,label\n2024-01-01T00:00:00,0.5,1\n2024-01-02T12:00:00,0.2,0\n",
+        None),
+    "empty-file": ("", "file is empty"),
+    "missing-column": ("timestamp,score\n0,0.5\n", "missing column 'label'"),
+    "duplicate-column": ("timestamp,score,label,score\n0,0.5,1,0.2\n",
+                         "line 1: column 'score' appears twice"),
+}
+
+
+def _score_stamps(block_chars):
+    def read(path):
+        with mock.patch.object(experiment, "_SCORE_BLOCK_CHARS", block_chars):
+            return experiment.read_scores_csv(path)[2]
+    return read
+
+
+@pytest.mark.parametrize("read", [
+    lambda path: load_csv(path).timestamps,
+    _score_stamps(16),
+    _score_stamps(experiment._SCORE_BLOCK_CHARS),
+], ids=["load_csv", "read_scores_csv-16", "read_scores_csv"])
+@pytest.mark.parametrize("body, problem", SHARED_CSV_RULES.values(),
+                         ids=SHARED_CSV_RULES.keys())
+def test_both_csv_readers_apply_the_same_rules(tmp_path, read, body, problem):
+    path = tmp_path / "both.csv"
+    path.write_text(body)
+    if problem is None:
+        assert list(read(path)) == [datetime(2024, 1, 1).timestamp(),
+                                    datetime(2024, 1, 2, 12).timestamp()]
+        return
+    with pytest.raises(IngestionError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: {problem}"
 
 
 class TestOneHot:
