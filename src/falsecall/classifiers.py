@@ -369,9 +369,41 @@ def score(model: TrainedModel, rows: Union[EncodedMatrix, np.ndarray]) -> np.nda
     return votes / len(trees)
 
 
-#: Size of the float64 ``(rows, n_train, n_features)`` difference temporary
-#: that one chunk of kNN scoring builds.
+#: Size of the float64 ``(n_features, rows, n_train)`` squared-difference
+#: temporary that one chunk of kNN scoring fills.
 _KNN_CHUNK_BYTES = 4 << 20
+
+
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum ``terms`` over its leading axis in place; returns ``terms[0]``.
+
+    The terms are added in the order ``ndarray.sum`` adds a contiguous axis
+    of that length (numpy's pairwise summation), so the result is
+    bit-identical to summing the same values laid out along the last axis:
+    under 8 terms in sequence; up to 128 with 8 running sums combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and then the remainder; above
+    that, the two halves split at a multiple of 8, each summed this way.
+    """
+    n = len(terms)
+    if n == 0:
+        return np.zeros(terms.shape[1:])
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        _pairwise_sum(terms[:half])
+        terms[0] += _pairwise_sum(terms[half:])
+        return terms[0]
+    if n < 8:
+        tail = 1
+    else:
+        tail = n - n % 8
+        for start in range(8, tail, 8):
+            terms[:8] += terms[start:start + 8]
+        terms[0:8:2] += terms[1:8:2]
+        terms[0:8:4] += terms[2:8:4]
+        terms[0] += terms[4]
+    for i in range(tail, n):
+        terms[0] += terms[i]
+    return terms[0]
 
 
 def _knn_vote_table(state: dict, X: np.ndarray, k_max: int) -> np.ndarray:
@@ -381,18 +413,26 @@ def _knn_vote_table(state: dict, X: np.ndarray, k_max: int) -> np.ndarray:
     training rows no farther than the k-th nearest, so rows tied with the
     k-th all vote.  Ties within the ``k_max`` nearest are counted among
     them; ties with the ``k_max``-th are counted over the whole row.  Rows
-    are scored in chunks of bounded memory; each squared distance sums the
-    same feature axis in the same order whatever the chunk, so every column
-    is bit-identical to scoring with that ``k`` alone.
+    are scored in chunks of bounded memory.  A chunk's squared feature
+    differences are laid out feature-major, one ``(rows, n_train)`` plane
+    per feature, and summed plane by plane in ``ndarray.sum``'s order over
+    the feature axis, so each squared distance is bit-identical to
+    ``((row - Xt) ** 2).sum(axis=1)`` whatever the chunk, and every column
+    to scoring with that ``k`` alone.
     """
     Xq = (X - state["mean"]) / state["std"]
     Xt, y = state["X"], state["y"]
     chunk = max(1, _KNN_CHUNK_BYTES // max(1, Xt.nbytes))
     ranks = np.arange(1, k_max + 1)
     table = np.empty((Xq.shape[0], k_max))
+    features = np.ascontiguousarray(Xt.T)[:, None, :]
+    squares = np.empty((Xt.shape[1], min(chunk, Xq.shape[0]), Xt.shape[0]))
     for start in range(0, Xq.shape[0], chunk):
         block = Xq[start:start + chunk]
-        d2 = ((block[:, None, :] - Xt[None, :, :]) ** 2).sum(axis=2)
+        d = squares[:, :len(block)]
+        np.subtract(block.T[:, :, None], features, out=d)
+        np.multiply(d, d, out=d)
+        d2 = _pairwise_sum(d)
         nearest = np.argpartition(d2, k_max - 1, axis=1)[:, :k_max]
         dist = np.take_along_axis(d2, nearest, axis=1)
         order = np.argsort(dist, axis=1, kind="stable")

@@ -16,7 +16,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 import numpy as np
@@ -184,13 +184,17 @@ def _atomic_output(path):
 
 
 def _parse_timestamp(text: str) -> float:
+    """Seconds from a number or an ISO 8601 stamp; a stamp without an offset is UTC."""
     try:
         value = float(text)
     except ValueError:
         try:
-            return datetime.fromisoformat(text).timestamp()
+            stamp = datetime.fromisoformat(text)
         except ValueError:
             raise IngestionError(f"unparseable timestamp {text!r}") from None
+        if stamp.tzinfo is None:
+            stamp = stamp.replace(tzinfo=timezone.utc)
+        return stamp.timestamp()
     if not math.isfinite(value):
         raise IngestionError(f"non-finite timestamp {text!r}")
     return value
@@ -462,6 +466,11 @@ def stratified_kfold(matrix: EncodedMatrix, k: int, seed: int
 # Synthetic generation
 
 
+#: Most rows the generator builds: about 190 bytes a row are held in memory
+#: at once with the default five features, so 10 million take about 2 GB.
+MAX_SYNTHETIC_ROWS = 10_000_000
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Controls for the drift-aware generator.
@@ -491,6 +500,8 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.n_rows < 2:
             raise InputError("n_rows must be >= 2")
+        if self.n_rows > MAX_SYNTHETIC_ROWS:
+            raise InputError(f"n_rows must be <= {MAX_SYNTHETIC_ROWS}, got {self.n_rows}")
         if not 0.0 < self.prevalence < 0.5:
             raise InputError("prevalence must lie in (0, 0.5)")
         if self.n_clusters < 1 or len(self.cluster_windows) != self.n_clusters:

@@ -279,6 +279,11 @@ class MetricSurface:
     cv: np.ndarray = field(repr=False)
 
 
+#: Largest grid side ``metric_surface`` builds: a 2048 x 2048 surface takes
+#: about 230 MB while it is computed.
+MAX_SURFACE_RESOLUTION = 2048
+
+
 def metric_surface(prevalence: float, resolution: int,
                    targets: TargetSpec) -> MetricSurface:
     """Evaluate accuracy, F1 and cv on a resolution x resolution grid.
@@ -286,8 +291,9 @@ def metric_surface(prevalence: float, resolution: int,
     The grid covers s in [0, 1] and v in [0, 1] inclusive, so the corners
     (s=0, v=1) (perfect) and (s=1, v=1) (reject-nothing) are always cells.
     """
-    if resolution < 2:
-        raise InputError(f"grid resolution must be >= 2, got {resolution}")
+    if not 2 <= resolution <= MAX_SURFACE_RESOLUTION:
+        raise InputError(f"grid resolution must lie in [2, {MAX_SURFACE_RESOLUTION}], "
+                         f"got {resolution}")
     s_values = np.linspace(0.0, 1.0, resolution)
     v_values = np.linspace(0.0, 1.0, resolution)
     accuracy, f1, cv = analytic_metrics(prevalence, s_values[:, None],

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from falsecall import cli, metrics
 from falsecall.cli import NO_THRESHOLD_MARK, main, parse_kv_text
 from falsecall.dataset import load_csv
 from falsecall.errors import IngestionError
@@ -14,6 +15,10 @@ TARGET_FLAGS = ["--s-target", "0.01", "--v-target", "0.40"]
 
 def run_cli(args):
     return main(args)
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("a size over the limit reached the allocation")
 
 
 def write_scores(path, rows, header="score,label"):
@@ -334,6 +339,21 @@ class TestGenerate:
         assert f"gen.txt: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
 
+    @pytest.mark.parametrize("command", ["generate", "experiment"])
+    def test_too_many_rows_exit_one_before_allocating(self, tmp_path, capsys,
+                                                      monkeypatch, command):
+        monkeypatch.setattr(cli, "generate_synthetic", unreachable)
+        if command == "generate":
+            config = tmp_path / "gen.txt"
+            config.write_text("n_rows = 100000000000\nprevalence = 0.1\n")
+            config = str(config)
+        else:
+            config = experiment_config(tmp_path, **{"synthetic.n_rows": 100000000000})
+        assert run_cli([command, "--config", config,
+                        "--out", str(tmp_path / "out")]) == 1
+        assert "n_rows must be <= 10000000, got 100000000000" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_range_checks_join_key_problems(self, tmp_path, capsys):
         config = tmp_path / "gen.txt"
         config.write_text("n_rows = 300\nprevalence = 0.7\nbogus = 1\n")
@@ -365,6 +385,17 @@ class TestSurface:
     def test_degenerate_resolution_exits_one(self, tmp_path):
         assert run_cli(["surface", "--prevalence", "0.01", "--resolution", "1",
                         "--out", str(tmp_path / "s.csv")]) == 1
+
+    def test_resolution_over_the_limit_exits_one_before_allocating(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(metrics.np, "linspace", unreachable)
+        monkeypatch.setattr(metrics, "analytic_metrics", unreachable)
+        out = tmp_path / "s.csv"
+        assert run_cli(["surface", "--prevalence", "0.01", "--resolution", "100000",
+                        "--out", str(out)]) == 1
+        assert ("grid resolution must lie in [2, 2048], got 100000"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_missing_directory_exits_one(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "s.csv"

@@ -1,9 +1,15 @@
-from datetime import datetime
+import json
+import os
+import subprocess
+import sys
+from datetime import datetime, timezone
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import falsecall
 from falsecall import experiment
 from falsecall.dataset import (CATEGORICAL, NUMERIC, ColumnSpec, Dataset,
                                SyntheticConfig, chrono_split,
@@ -211,12 +217,45 @@ def test_both_csv_readers_apply_the_same_rules(tmp_path, read, body, problem):
     path = tmp_path / "both.csv"
     path.write_text(body)
     if problem is None:
-        assert list(read(path)) == [datetime(2024, 1, 1).timestamp(),
-                                    datetime(2024, 1, 2, 12).timestamp()]
+        assert list(read(path)) == [utc(2024, 1, 1), utc(2024, 1, 2, 12)]
         return
     with pytest.raises(IngestionError) as info:
         read(path)
     assert str(info.value) == f"{path}: {problem}"
+
+
+def utc(*fields):
+    return datetime(*fields, tzinfo=timezone.utc).timestamp()
+
+
+#: New York's daylight-saving rule as a POSIX ``TZ`` string, which needs no
+#: zone database: clocks went from 02:00 to 03:00 on 2024-03-10.
+NEW_YORK = "EST5EDT,M3.2.0,M11.1.0"
+
+
+def test_naive_iso_stamps_are_utc_whatever_the_host_zone(tmp_path):
+    # 02:30 does not exist in New York that day; read as local time it
+    # would land after 03:15.  The stamp with an offset keeps its meaning.
+    path = tmp_path / "stamps.csv"
+    path.write_text("timestamp,score,label\n2024-03-10T03:15:00,0.5,1\n"
+                    "2024-03-10T02:30:00,0.2,0\n2024-03-10T02:30:00-05:00,0.3,1\n")
+    code = ("import json, sys\n"
+            "from datetime import datetime\n"
+            "from falsecall.dataset import load_csv\n"
+            "from falsecall.experiment import read_scores_csv\n"
+            "print(json.dumps([datetime(2024, 7, 1).timestamp(),\n"
+            "                  list(load_csv(sys.argv[1]).timestamps),\n"
+            "                  list(read_scores_csv(sys.argv[1])[2])]))\n")
+    src = str(Path(falsecall.__file__).parents[1])
+    env = {**os.environ, "TZ": NEW_YORK,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                            capture_output=True, text=True, check=True)
+    local_midsummer, loaded, scored = json.loads(result.stdout)
+    assert local_midsummer == utc(2024, 7, 1, 4)
+    in_file = [utc(2024, 3, 10, 3, 15), utc(2024, 3, 10, 2, 30), utc(2024, 3, 10, 7, 30)]
+    assert loaded == sorted(in_file)
+    assert scored == in_file
 
 
 class TestOneHot:

@@ -2,11 +2,13 @@
 
 score_report's curve metrics are checked against brute force, the ranking
 behind them against the stable argsort in ``reference_ranking``, forest
-training against the per-node argsort grower in ``reference_forest``, and
-the kNN neighbour-vote table and search against the one-``k`` scorer in
-``reference_knn``.  The config and score-file readers are fed near-miss keys, malformed values and
-arbitrary bytes: they must either succeed or raise ``InputError``, and the
-block reader of score files must match the row reader's arrays or message.
+training against the per-node argsort grower in ``reference_forest``, the
+kNN neighbour-vote table and search against the one-``k`` scorer in
+``reference_knn``, and the summation behind kNN distances against
+``ndarray.sum``.  The config and score-file readers are fed near-miss keys,
+malformed values and arbitrary bytes: they must either succeed or raise
+``InputError``, and the block reader of score files must match the row
+reader's arrays or message.
 ``reporting.dump_json`` must give the bytes of the indented ``json.dumps``.
 """
 
@@ -20,7 +22,8 @@ import pytest
 from falsecall import classifiers, experiment
 from falsecall.classifiers import (BALANCED_RANDOM_FOREST, KNN, RANDOM_FOREST,
                                    ClassifierSpec, HyperParamSpace,
-                                   _knn_vote_table, _train_forest, _train_knn)
+                                   _knn_vote_table, _pairwise_sum,
+                                   _train_forest, _train_knn)
 from falsecall.cli import load_experiment_setup
 from falsecall.curves import (_Ranking, _ranked, auc_pr, select_threshold,
                               sweep_thresholds)
@@ -228,6 +231,44 @@ def test_vote_table_spans_chunks_at_its_own_size():
     assert len(queries) > 3 * classifiers._KNN_CHUNK_BYTES // state["X"].nbytes
     table = _knn_vote_table(state, queries, 51)
     for k in range(1, 52):
+        expected = reference_score_knn({**state, "k": k}, queries)
+        assert_bitwise_equal(table[:, k - 1], expected, f"k={k}")
+
+
+@st.composite
+def summands(draw):
+    """1-300 terms of two values each, of either sign and magnitudes 1e-8 to 1e8."""
+    n = draw(st.integers(1, 300))
+    exponents = draw(st.lists(st.floats(-8, 8), min_size=2 * n, max_size=2 * n))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=2 * n, max_size=2 * n))
+    return (np.array(signs) * 10.0 ** np.array(exponents)).reshape(n, 2)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(summands())
+def test_pairwise_sum_adds_in_the_order_of_ndarray_sum(terms):
+    expected = np.stack(list(terms), axis=-1).sum(axis=-1)
+    assert_bitwise_equal(_pairwise_sum(terms.copy()), expected, f"{len(terms)} terms")
+
+
+@pytest.mark.parametrize("n_features", [8, 9, 16, 128, 129, 200])
+def test_vote_table_equals_reference_scorer_on_wide_rows(n_features):
+    # The training rows are every cyclic shift of two random vectors, so all
+    # columns share one mean and spread, and a constant query row is equally
+    # far from each shift of a vector: which shifts come out nearest, and
+    # which tie, then rests on the order the squared differences are added
+    # in.  Chunks of seven query rows, the last one short.
+    rng = np.random.default_rng(n_features)
+    X = np.vstack([np.roll(vector, shift) for vector in rng.standard_normal((2, n_features))
+                   for shift in range(n_features)])
+    y = rng.integers(0, 2, len(X))
+    y[:2] = [0, 1]
+    queries = np.vstack([np.outer(np.linspace(-2, 2, 21), np.ones(n_features)),
+                         rng.standard_normal((9, n_features))])
+    state = _train_knn(ClassifierSpec(KNN, {"k": 1}), X, y)
+    with mock.patch.object(classifiers, "_KNN_CHUNK_BYTES", 7 * state["X"].nbytes):
+        table = _knn_vote_table(state, queries, 15)
+    for k in range(1, 16):
         expected = reference_score_knn({**state, "k": k}, queries)
         assert_bitwise_equal(table[:, k - 1], expected, f"k={k}")
 
