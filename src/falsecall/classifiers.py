@@ -10,10 +10,16 @@ the package-wide seed derivation.
 
 Trees split numeric features at midpoints of sorted distinct values, choose
 the split with minimal weighted Gini impurity and break ties by lowest
-feature index, then lowest split value.  Each fit sorts its training matrix
-once; every tree grows on the distinct rows of its bag, weighted by how often
-the bag drew them, and every node keeps its rows in that presorted order, so
-the split search sorts nothing.
+feature index, then lowest split value.  Each fit transposes and sorts its
+training matrix once; every tree grows on the distinct rows of its bag,
+weighted by how often the bag drew them, and every node keeps its rows in
+that presorted order, so the split search sorts nothing.  The counts left of
+each cut are float64 prefix sums of those integer weights, exact and so
+giving the same Gini values as integer counts; a split hands each child its
+row and positive counts, and a child that will be a leaf is appended without
+selecting its rows.  Scoring walks all (tree, row) pairs of a chunk of rows
+together over the forest's joined node arrays; the votes are counted
+exactly, so every score equals applying the trees one at a time.
 """
 
 from __future__ import annotations
@@ -165,18 +171,23 @@ class TrainedModel:
 # Decision trees
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, weight: np.ndarray,
+def _grow_tree(Xt: np.ndarray, y: np.ndarray, weight: np.ndarray,
                order: np.ndarray, rng: np.random.Generator,
                max_depth: Optional[int], min_leaf: int, n_candidates: int) -> dict:
     """Grow one tree on the bag whose row multiplicities are ``weight``.
 
-    ``order`` holds each feature's row ids in ascending value order, shape
-    ``(n_features, n_rows)``.  Each node keeps that layout for its own rows,
-    so no node sorts: the counts left of every cut are prefix sums of the
-    multiplicities, the same integers as on the materialised bag.
+    ``Xt`` is the training matrix transposed, one contiguous line per
+    feature, and ``order`` holds each feature's row ids in ascending value
+    order, shape ``(n_features, n_rows)``.  Each node keeps that layout for
+    its own rows, so no node sorts: the counts left of every cut are prefix
+    sums of the multiplicities, the same integers as on the materialised bag
+    (exact in float64, so the Gini values and their argmin are too).
     """
-    n_features = X.shape[1]
-    weighted_y = weight * y
+    n_features, n_rows = Xt.shape
+    # Each row's multiplicity and positives: integers, exact in float64.
+    counts = np.stack([weight, weight * y]).astype(float)
+    feature_offsets = np.arange(n_features)[:, None] * n_rows
+    all_features = np.arange(n_features)
     # One [feature, threshold, left, right, vote] list per node, in pre-order;
     # a node starts as a leaf and becomes a split once its children are grown.
     nodes: list[list] = []
@@ -184,20 +195,22 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, weight: np.ndarray,
     def best_split(rows: np.ndarray, feats: np.ndarray, n: int, total_pos: int):
         # ``rows`` has one line per candidate feature, in ascending value
         # order; the cut after column j sends columns 0..j left.
-        values = X[rows, feats[:, None]]
-        nl = weight[rows].cumsum(axis=1)[:, :-1]
-        pl = weighted_y[rows].cumsum(axis=1)[:, :-1]
+        values = Xt.take(rows + feature_offsets[feats])
+        # Bag rows (``sizes``) and positives, each left of every cut and
+        # right of it: prefix sums of the counts, and their complements.
+        tallies = np.empty((2, 2, len(feats), rows.shape[1] - 1))
+        counts.take(rows[:, :-1], axis=1).cumsum(axis=2, out=tallies[:, 0])
+        np.subtract(np.array([n, total_pos], dtype=float)[:, None, None],
+                    tallies[:, 0], out=tallies[:, 1])
+        sizes, positives = tallies
         valid = values[:, 1:] != values[:, :-1]
         if min_leaf > 1:
-            valid &= (nl >= min_leaf) & (nl <= n - min_leaf)
+            valid &= np.minimum(sizes[0], sizes[1]) >= min_leaf
         if not valid.any():
             return None
-        nr = n - nl
-        pr = total_pos - pl
-        gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
-        gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
-        weighted = (nl * gini_l + nr * gini_r) / n
-        weighted[~valid] = np.inf
+        gini = 1.0 - (positives / sizes) ** 2 - ((sizes - positives) / sizes) ** 2
+        impurity = sizes * gini
+        weighted = np.where(valid, (impurity[0] + impurity[1]) / n, np.inf)
         # The row-major first minimum is the lowest feature, then the lowest
         # value, as the tie rule asks.
         f, cut = divmod(int(weighted.argmin()), weighted.shape[1])
@@ -206,52 +219,51 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, weight: np.ndarray,
         # The midpoint of adjacent floats (1+eps, 1+2eps) can round up to
         # ``high``, and a huge pair's can overflow; cutting at ``low`` then
         # still sends ``high`` right.
-        return int(feats[f]), float(middle if low <= middle < high else low)
+        return (int(feats[f]), float(middle if low <= middle < high else low),
+                int(sizes[0, f, cut]), int(positives[0, f, cut]))
 
-    def build(rows: np.ndarray, depth: int) -> int:
-        ids = rows[0]
-        n = int(weight[ids].sum())
-        pos = int(weighted_y[ids].sum())
+    def select(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        # ``compress`` keeps order, so each line stays sorted; it is several
+        # times faster than boolean indexing of a 2-D array.
+        return rows.compress(keep).reshape(n_features, -1)
+
+    def is_leaf(n: int, pos: int, depth: int) -> bool:
+        return (pos == 0 or pos == n or n < 2 * min_leaf
+                or (max_depth is not None and depth >= max_depth))
+
+    def build(rows: Optional[np.ndarray], n: int, pos: int, depth: int) -> int:
+        # ``n`` and ``pos`` count the node's bag rows and positives; ``rows``
+        # is None for a node that ``is_leaf``, which needs no rows.
         node = len(nodes)
         nodes.append([-1, 0.0, -1, -1, 1 if pos > n - pos else 0])
-        if (pos == 0 or pos == n or n < 2 * min_leaf
-                or (max_depth is not None and depth >= max_depth)):
+        if rows is None:
             return node
         if n_candidates < n_features:
             feats = rng.choice(n_features, n_candidates, replace=False)
             feats.sort()
             split = best_split(rows[feats], feats, n, pos)
         else:
-            split = best_split(rows, np.arange(n_features), n, pos)
+            split = best_split(rows, all_features, n, pos)
         if split is None:
             return node
-        f, cut = split
-        # Boolean selection is stable, so each child stays sorted.
-        go_left = X[:, f][rows] <= cut
-        left = build(rows[go_left].reshape(n_features, -1), depth + 1)
-        right = build(rows[~go_left].reshape(n_features, -1), depth + 1)
+        f, cut, n_left, pos_left = split
+        n_right, pos_right = n - n_left, pos - pos_left
+        leaf_left = is_leaf(n_left, pos_left, depth + 1)
+        leaf_right = is_leaf(n_right, pos_right, depth + 1)
+        if not (leaf_left and leaf_right):
+            go_left = Xt[f].take(rows).ravel() <= cut
+        left = build(None if leaf_left else select(rows, go_left),
+                     n_left, pos_left, depth + 1)
+        right = build(None if leaf_right else select(rows, ~go_left),
+                      n_right, pos_right, depth + 1)
         nodes[node] = [f, cut, left, right, -1]
         return node
 
-    present = weight[order] > 0
-    build(order[present].reshape(n_features, -1), 0)
+    n, pos = int(weight.sum()), int(weight @ y)
+    build(None if is_leaf(n, pos, 0)
+          else select(order, (weight > 0).take(order).ravel()), n, pos, 0)
     return {name: np.array(column, dtype=dtype)
             for (name, dtype), column in zip(_TREE_ARRAYS.items(), zip(*nodes))}
-
-
-def _apply_tree(tree: dict, X: np.ndarray) -> np.ndarray:
-    n = X.shape[0]
-    node = np.zeros(n, dtype=np.int64)
-    while True:
-        feats = tree["feature"][node]
-        internal = feats >= 0
-        if not internal.any():
-            return tree["vote"][node]
-        rows = np.nonzero(internal)[0]
-        x = X[rows, feats[rows]]
-        go_left = x <= tree["threshold"][node[rows]]
-        node[rows] = np.where(go_left, tree["left"][node[rows]],
-                              tree["right"][node[rows]])
 
 
 def _candidate_count(mode: str, n_features: int) -> int:
@@ -287,8 +299,9 @@ def _train_forest(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray) -> dict:
     class1 = np.nonzero(y == 1)[0]
     per_class = min(class0.size, class1.size)
 
-    # Sorted once per fit; every tree and node reuses this order.
-    order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+    # Transposed and sorted once per fit; every tree and node reuses both.
+    Xt = np.ascontiguousarray(X.T)
+    order = np.argsort(Xt, axis=1, kind="stable")
     trees = []
     bag_positive = []
     for t in range(n_trees):
@@ -301,7 +314,7 @@ def _train_forest(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray) -> dict:
             bag = rng.integers(0, n, n)
         weight = np.bincount(bag, minlength=n)
         bag_positive.append(int(weight @ y))
-        trees.append(_grow_tree(X, y, weight, order, rng, max_depth, min_leaf,
+        trees.append(_grow_tree(Xt, y, weight, order, rng, max_depth, min_leaf,
                                 n_candidates))
     return {"trees": trees, "bag_positive_counts": bag_positive,
             "per_class_bag": per_class if balanced else None}
@@ -362,11 +375,57 @@ def score(model: TrainedModel, rows: Union[EncodedMatrix, np.ndarray]) -> np.nda
         return np.full(X.shape[0], float(model.state["majority"]))
     if kind == KNN:
         return _score_knn(model.state, X)
-    votes = np.zeros(X.shape[0])
     trees = model.state["trees"]
-    for tree in trees:
-        votes += _apply_tree(tree, X)
-    return votes / len(trees)
+    return _forest_votes(trees, X) / len(trees)
+
+
+#: (tree, row) pairs one chunk of forest scoring walks together.  The walk
+#: holds about 80 bytes a pair at once, so a chunk takes about 5 MB.
+_FOREST_CHUNK_PAIRS = 1 << 16
+
+
+def _forest_votes(trees: list, X: np.ndarray) -> np.ndarray:
+    """Number of ``trees`` whose leaf votes 1, for each row of ``X``.
+
+    The trees' node arrays are joined into one, child ids shifted by each
+    tree's offset, and a leaf made its own left and right child, so a pair
+    that reaches its leaf stays there.  All (tree, row) pairs of a chunk of
+    rows descend together, one level per step; every fourth step the pairs
+    at a leaf cast their votes and leave the walk, which costs about as much
+    as a step.
+    """
+    sizes = [len(tree["feature"]) for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    feature, threshold, left, right, vote = (
+        np.concatenate([tree[name] for tree in trees]) for name in _TREE_ARRAYS)
+    leaf = feature < 0
+    itself = np.arange(len(feature))
+    shift = np.repeat(roots, sizes)
+    left = np.where(leaf, itself, left + shift)
+    right = np.where(leaf, itself, right + shift)
+    feature = np.where(leaf, 0, feature)
+    X = np.ascontiguousarray(X)
+    n_features = X.shape[1]
+    votes = np.zeros(X.shape[0])
+    chunk = max(1, _FOREST_CHUNK_PAIRS // len(trees))
+    for start in range(0, X.shape[0], chunk):
+        block = X[start:start + chunk].ravel()
+        m = min(chunk, X.shape[0] - start)
+        node = np.repeat(roots, m)
+        row = np.tile(np.arange(m), len(trees))
+        while True:
+            done = leaf.take(node)
+            # Votes are 0 or 1, so these float sums are exact counts.
+            votes[start:start + m] += np.bincount(
+                row.compress(done), vote.take(node.compress(done)), minlength=m)
+            node, row = node.compress(~done), row.compress(~done)
+            if not node.size:
+                break
+            for _ in range(4):
+                x = block.take(row * n_features + feature.take(node))
+                node = np.where(x <= threshold.take(node), left.take(node),
+                                right.take(node))
+    return votes
 
 
 #: Size of the float64 ``(n_features, rows, n_train)`` squared-difference

@@ -221,8 +221,9 @@ def load_csv(path, timestamp_column: str = "timestamp",
     contain 0/1.  Only an empty numeric cell is missing: ``missing="reject"``
     fails on it with line numbers, ``missing="impute"`` stores it as NaN for
     the encoder to fill from its fitted medians.  A ``nan`` or ``inf`` cell
-    is rejected under either policy.  Empty lines are skipped; line numbers
-    in errors are the file's own.
+    is rejected under either policy, and so is a file with no feature
+    columns.  Empty lines are skipped; line numbers in errors are the
+    file's own.
     """
     if missing not in ("reject", "impute"):
         raise InputError(f"missing policy must be 'reject' or 'impute', got {missing!r}")
@@ -230,6 +231,9 @@ def load_csv(path, timestamp_column: str = "timestamp",
     reader = _csv_rows(path, (timestamp_column, label_column), problems)
     header = next(reader)
     feature_names = [h for h in header if h not in (timestamp_column, label_column)]
+    if not feature_names:
+        _raise_problems(path, [f"no feature columns, only {timestamp_column!r} "
+                               f"and {label_column!r}"])
     col_of = {name: header.index(name) for name in header}
 
     rows, line_numbers, stamps, raw_labels = [], [], [], []
@@ -469,6 +473,10 @@ def stratified_kfold(matrix: EncodedMatrix, k: int, seed: int
 #: Most rows the generator builds: about 190 bytes a row are held in memory
 #: at once with the default five features, so 10 million take about 2 GB.
 MAX_SYNTHETIC_ROWS = 10_000_000
+#: Most feature cells (rows times features) the generator builds: the row
+#: limit at the default five features.  About 32 bytes a cell are held at
+#: once while the feature matrix is built, so this too stays near 2 GB.
+_MAX_SYNTHETIC_CELLS = 5 * MAX_SYNTHETIC_ROWS
 
 
 @dataclass(frozen=True)
@@ -508,6 +516,11 @@ class SyntheticConfig:
             raise InputError("need one activity window per cluster")
         if self.n_features < 2:
             raise InputError("n_features must be >= 2")
+        if self.n_rows * self.n_features > _MAX_SYNTHETIC_CELLS:
+            raise InputError(
+                f"n_features must be <= {_MAX_SYNTHETIC_CELLS // self.n_rows} for "
+                f"{self.n_rows} rows (at most {_MAX_SYNTHETIC_CELLS} feature cells), "
+                f"got {self.n_features}")
         if not 0 < self.noise < math.inf:
             raise InputError(f"noise must be positive and finite, got {self.noise}")
         if not math.isfinite(self.drift_strength):

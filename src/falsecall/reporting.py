@@ -310,21 +310,25 @@ def _keys(keys: list) -> list:
 
 
 def _rows(rows, indent: str) -> Optional[list]:
-    """Dicts sharing one key set with scalar values, rendered column by column.
+    """Dicts sharing one key set of strings, scalar values, column by column.
 
     Each column is encoded in one call and every row filled into one
-    template; ``None`` when ``rows`` are not such dicts.
+    template; ``None`` when ``rows`` are not such dicts.  Other keys are
+    left to ``_render``: ``1``, ``True`` and ``1.0`` are equal keys that
+    ``json.dumps`` spells differently.
     """
     if not all(isinstance(row, dict) for row in rows) or not rows[0]:
         return None
     keys = rows[0].keys()
+    if not all(isinstance(key, str) for key in keys):
+        return None
     if any(row.keys() != keys for row in rows):
         return None
     names = sorted(keys)
     columns = [[row[name] for row in rows] for name in names]
     if not all(map(_all_scalar, columns)):
         return None
-    template = _object([key.replace("%", "%%") for key in _keys(names)],
+    template = _object([key.replace("%", "%%") for key in _flat(names)],
                        ["%s"] * len(names), indent)
     return [template % cells for cells in zip(*map(_flat, columns))]
 

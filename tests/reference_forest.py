@@ -1,10 +1,11 @@
-"""Reference random-forest grower: one argsort per node and candidate feature.
+"""Reference random forest: one argsort per node, one tree at a time.
 
-This is the straightforward form of the tree growth in
+This is the straightforward form of the tree growth and scoring in
 ``falsecall.classifiers``: every tree is grown on its materialised bootstrap
-bag and every node sorts each candidate feature again.  The library grows
-trees from rows presorted once per fit instead; the property tests require
-both to give identical trees.
+bag and every node sorts each candidate feature again, and scoring applies
+the trees one after the other.  The library grows trees from rows presorted
+once per fit and walks all trees of a forest together instead; the property
+tests require both to give identical trees and bit-identical scores.
 """
 
 from typing import Optional
@@ -121,3 +122,25 @@ def reference_train_forest(kind: str, params: dict, seed: int,
         trees.append(reference_grow_tree(X[bag], y[bag], rng, max_depth,
                                          min_leaf, n_candidates))
     return {"trees": trees, "bag_positive_counts": bag_positive}
+
+
+def reference_apply_tree(tree: dict, X: np.ndarray) -> np.ndarray:
+    """Each row's leaf vote, the rows still inside the tree descending a level per step."""
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        feats = tree["feature"][node]
+        internal = feats >= 0
+        if not internal.any():
+            return tree["vote"][node]
+        rows = np.nonzero(internal)[0]
+        go_left = X[rows, feats[rows]] <= tree["threshold"][node[rows]]
+        node[rows] = np.where(go_left, tree["left"][node[rows]],
+                              tree["right"][node[rows]])
+
+
+def reference_apply_forest(trees: list, X: np.ndarray) -> np.ndarray:
+    """The scores ``score`` must give: the trees' votes added up, over their count."""
+    votes = np.zeros(X.shape[0])
+    for tree in trees:
+        votes += reference_apply_tree(tree, X)
+    return votes / len(trees)

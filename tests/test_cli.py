@@ -281,6 +281,19 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert ("config.txt" if bad_file == "config" else "data.csv") in err
 
+    def test_dataset_without_feature_columns_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("ts,label\n" + "".join(f"{t},{int(t % 5 == 0)}\n"
+                                               for t in range(100)))
+        config = experiment_config(tmp_path, models="knn", data="csv",
+                                   **{"csv.path": str(data),
+                                      "csv.timestamp_column": "ts"})
+        assert run_cli(["experiment", "--config", config,
+                        "--out", str(tmp_path / "out")]) == 1
+        assert (f"{data}: no feature columns, only 'ts' and 'label'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_model_kind_rejected(self, tmp_path, capsys):
         config = experiment_config(tmp_path, models="dummy, xgboost")
         assert run_cli(["experiment", "--config", config,
@@ -353,6 +366,17 @@ class TestGenerate:
                         "--out", str(tmp_path / "out")]) == 1
         assert "n_rows must be <= 10000000, got 100000000000" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_too_many_feature_cells_exit_one_before_allocating(self, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.setattr(cli, "generate_synthetic", unreachable)
+        config = tmp_path / "gen.txt"
+        config.write_text("n_rows = 10\nprevalence = 0.2\nn_features = 1000000000000\n")
+        assert run_cli(["generate", "--config", str(config),
+                        "--out", str(tmp_path / "d.csv")]) == 1
+        assert ("n_features must be <= 5000000 for 10 rows (at most 50000000 "
+                "feature cells), got 1000000000000" in capsys.readouterr().err)
+        assert not (tmp_path / "d.csv").exists()
 
     def test_range_checks_join_key_problems(self, tmp_path, capsys):
         config = tmp_path / "gen.txt"

@@ -2,13 +2,13 @@
 
 score_report's curve metrics are checked against brute force, the ranking
 behind them against the stable argsort in ``reference_ranking``, forest
-training against the per-node argsort grower in ``reference_forest``, the
-kNN neighbour-vote table and search against the one-``k`` scorer in
-``reference_knn``, and the summation behind kNN distances against
-``ndarray.sum``.  The config and score-file readers are fed near-miss keys,
-malformed values and arbitrary bytes: they must either succeed or raise
-``InputError``, and the block reader of score files must match the row
-reader's arrays or message.
+training against the per-node argsort grower and forest scoring against the
+per-tree loop in ``reference_forest``, the kNN neighbour-vote table and
+search against the one-``k`` scorer in ``reference_knn``, and the summation
+behind kNN distances against ``ndarray.sum``.  The config and score-file
+readers are fed near-miss keys, malformed values and arbitrary bytes: they
+must either succeed or raise ``InputError``, and the block reader of score
+files must match the row reader's arrays or message.
 ``reporting.dump_json`` must give the bytes of the indented ``json.dumps``.
 """
 
@@ -20,10 +20,11 @@ import numpy as np
 import pytest
 
 from falsecall import classifiers, experiment
-from falsecall.classifiers import (BALANCED_RANDOM_FOREST, KNN, RANDOM_FOREST,
-                                   ClassifierSpec, HyperParamSpace,
+from falsecall.classifiers import (_TREE_ARRAYS, BALANCED_RANDOM_FOREST, KNN,
+                                   RANDOM_FOREST, ClassifierSpec,
+                                   HyperParamSpace, TrainedModel,
                                    _knn_vote_table, _pairwise_sum,
-                                   _train_forest, _train_knn)
+                                   _train_forest, _train_knn, score)
 from falsecall.cli import load_experiment_setup
 from falsecall.curves import (_Ranking, _ranked, auc_pr, select_threshold,
                               sweep_thresholds)
@@ -35,7 +36,7 @@ from falsecall.experiment import (REGIME_REQUIREMENT, REGIME_STANDARD,
                                   read_scores_csv, score_report)
 from falsecall.metrics import TargetSpec
 from falsecall.reporting import dump_json
-from tests.reference_forest import reference_train_forest
+from tests.reference_forest import reference_apply_forest, reference_train_forest
 from tests.reference_knn import reference_score_knn
 from tests.reference_ranking import reference_ranked
 from tests.test_curves import (oracle_auc_pr, oracle_cauc, oracle_points,
@@ -178,6 +179,64 @@ def test_presorted_forest_equals_reference_grower(case):
         for key, array in reference.items():
             assert tree[key].dtype == array.dtype
             assert tree[key].tobytes() == array.tobytes(), key
+
+
+@st.composite
+def tree_layouts(draw, n_features, values):
+    """A tree in ``_grow_tree``'s pre-order layout, often a single leaf."""
+    nodes = []
+
+    def grow(depth):
+        node = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, draw(st.integers(0, 1))])
+        if depth < 6 and draw(st.booleans()):
+            split = [draw(st.integers(0, n_features - 1)), draw(values)]
+            nodes[node] = split + [grow(depth + 1), grow(depth + 1), -1]
+        return node
+
+    grow(0)
+    return {name: np.array(column, dtype=dtype)
+            for (name, dtype), column in zip(_TREE_ARRAYS.items(), zip(*nodes))}
+
+
+@st.composite
+def scored_forests(draw):
+    """1-8 trees, 0-40 query rows on the trees' own cut values or between
+    them, and chunks of a few (tree, row) pairs up to the library's size."""
+    n_features = draw(st.integers(1, 4))
+    values = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]) | st.floats(-3, 3, width=32)
+    trees = draw(st.lists(tree_layouts(n_features, values), min_size=1, max_size=8))
+    n_rows = draw(st.just(0) | st.integers(1, 40))
+    cells = draw(st.lists(values, min_size=n_rows * n_features,
+                          max_size=n_rows * n_features))
+    X = np.array(cells, dtype=float).reshape(n_rows, n_features)
+    return trees, X, draw(st.integers(1, 20) | st.none())
+
+
+def forest_model(trees, n_features):
+    return TrainedModel(ClassifierSpec(RANDOM_FOREST), {"trees": trees},
+                        metadata={"n_features": n_features})
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(scored_forests())
+def test_forest_scores_equal_the_per_tree_loop(case):
+    trees, X, chunk_pairs = case
+    with mock.patch.object(classifiers, "_FOREST_CHUNK_PAIRS",
+                           chunk_pairs or classifiers._FOREST_CHUNK_PAIRS):
+        scores = score(forest_model(trees, X.shape[1]), X)
+    assert_bitwise_equal(scores, reference_apply_forest(trees, X), "scores")
+
+
+def test_forest_scores_span_chunks_of_a_trained_forest():
+    # 30 trees on 500 rows in chunks of 7 rows: 72 chunks, the last short.
+    matrix = _tied_matrix(500, seed=5)
+    trees = _train_forest(ClassifierSpec(RANDOM_FOREST, {"n_trees": 30}, seed=2),
+                          matrix.X, matrix.labels)["trees"]
+    expected = reference_apply_forest(trees, matrix.X)
+    with mock.patch.object(classifiers, "_FOREST_CHUNK_PAIRS", 7 * 30):
+        assert_bitwise_equal(score(forest_model(trees, 3), matrix), expected, "chunked")
+    assert_bitwise_equal(score(forest_model(trees, 3), matrix), expected, "one chunk")
 
 
 @st.composite
@@ -546,6 +605,14 @@ def same_key_rows(draw, values):
                          min_size=1, max_size=5))
 
 
+@st.composite
+def equal_key_rows(draw):
+    """Dicts whose keys are equal but spelled 1, True or 1.0 and 0, False or 0.0."""
+    spellings = [keys for keys in ([1, True, 1.0], [0, False, 0.0]) if draw(st.booleans())]
+    return [{draw(st.sampled_from(keys)): draw(JSON_SCALARS) for keys in spellings}
+            for _ in range(draw(st.integers(1, 5)))]
+
+
 def json_payloads():
     def containers(children):
         return (st.lists(children, max_size=5)
@@ -553,6 +620,7 @@ def json_payloads():
                 | st.dictionaries(JSON_KEYS, children, max_size=5)
                 | same_key_rows(JSON_SCALARS)
                 | same_key_rows(JSON_SCALARS | children)
+                | equal_key_rows()
                 | st.lists(st.dictionaries(JSON_KEYS, JSON_SCALARS, max_size=3),
                            max_size=4))
     return st.recursive(JSON_SCALARS, containers, max_leaves=40)
@@ -564,6 +632,8 @@ def json_payloads():
 @hypothesis.example([{"%": 1, "{x}": "%s", "%%s": None}, {"%": 2, "{x}": "}", "%%s": 0.5}])
 @hypothesis.example([{10: 0.5, 2: None}, {2: True, 10: -0.0}])
 @hypothesis.example({0.5: 1, -math.inf: [2], False: {}})
+@hypothesis.example([{1: 0.5}, {True: 0.25}])
+@hypothesis.example([{1: 0.5}, {1.0: 0.25}])
 @hypothesis.given(json_payloads())
 def test_dump_json_equals_indented_json_dumps(payload):
     assert dump_json(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
