@@ -291,6 +291,8 @@ def _train_forest(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray) -> dict:
         raise InputError("n_trees must be >= 1")
     if min_leaf < 1:
         raise InputError("min_leaf must be >= 1")
+    if X.shape[1] == 0:
+        raise InputError(f"{spec.kind} training needs at least one feature column, got 0")
     n_candidates = _candidate_count(mode, X.shape[1])
 
     balanced = spec.kind == BALANCED_RANDOM_FOREST

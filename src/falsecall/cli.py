@@ -17,6 +17,7 @@ import argparse
 import inspect
 import sys
 import traceback
+from dataclasses import asdict
 from typing import Optional
 
 from .classifiers import BALANCED_RANDOM_FOREST, HyperParamSpace, KINDS, \
@@ -115,8 +116,8 @@ _EXPERIMENT_KEYS = {
     "": {"run_id": str, "models": _kinds, "regime": str, "s_target": float,
          "v_target": float, "optimizer": str, "budget": int, "k_folds": int,
          "base_seed": int, "n_seeds": int, "data": str},
-    "csv.": {"path": str, "timestamp_column": str, "label_column": str,
-             "positive_label": str, "categorical_columns": _names},
+    "csv.": {name: _names if name == "categorical_columns" else str
+             for name in inspect.signature(load_csv).parameters},
     "synthetic.": _SYNTHETIC_KEYS,
     **{prefix: dict.fromkeys(HyperParamSpace.default(kinds[0]).int_ranges, _bounds)
        for prefix, kinds in _SPACE_KINDS.items()},
@@ -231,8 +232,7 @@ def cmd_experiment(args) -> int:
     provenance.update({
         "regime": config.regime,
         "seeds": config.seeds,
-        "targets": {"s_target": config.targets.s_target,
-                    "v_target": config.targets.v_target},
+        "targets": asdict(config.targets),
         "eval_sets": list(EVAL_SETS),
         "dataset": {"n_rows": dataset.n_rows, "prevalence": dataset.prevalence},
     })
@@ -264,9 +264,8 @@ def cmd_generate(args) -> int:
 
 def cmd_drift(args) -> int:
     dataset = load_csv(args.data, **{
-        key: value for key, value in vars(args).items() if key in (
-            "timestamp_column", "label_column", "positive_label",
-            "categorical_columns")})
+        key: value for key, value in vars(args).items()
+        if key in inspect.signature(load_csv).parameters})
     matrix, _ = one_hot_fit_transform(dataset)
     write_export(args.out, pca2d(matrix))
     print(f"projected {matrix.n_rows} rows -> {args.out}")

@@ -1,5 +1,8 @@
 """Timestamped tabular datasets: ingestion, encoding, splitting, generation.
 
+Every CSV input is read here, datasets by :func:`load_csv` and score
+exports by :func:`read_scores_csv`, through one row reader.
+
 A :class:`Dataset` is columnar: one timestamp column, one binary label column
 (1 = defect, 0 = false call) and a mix of numeric and categorical feature
 columns.  Rows are kept in non-decreasing timestamp order; loaders re-sort.
@@ -299,6 +302,119 @@ def load_csv(path, timestamp_column: str = "timestamp",
         timestamp_name=timestamp_column,
         label_name=label_column,
     )
+
+
+#: Characters read per block of a score file, before the rest of its last line.
+_SCORE_BLOCK_CHARS = 1 << 18
+
+
+def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Read a score export: header with score,label[,timestamp] columns.
+
+    Empty lines are skipped; line numbers in errors are the file's own.
+    Timestamps are numbers or ISO 8601, and must be finite.  Unquoted files
+    with numeric stamps, whatever their line ends, are split a block at a
+    time; any other file, and any file with a problem, is read row by row,
+    which gives the same values and is the one reader that words errors.
+    """
+    columns = _split_score_blocks(path)
+    return columns if columns is not None else _read_score_rows(path)
+
+
+def _split_score_blocks(path):
+    """``read_scores_csv``'s arrays from blocks split on commas, or ``None``.
+
+    The file is read with newline translation: outside quotes, ``csv.reader``
+    also ends a record at CR, LF or CRLF.  A block qualifies when it holds
+    no quote or NUL and every non-empty line has one comma fewer than the
+    header has columns and fits the csv field limit: ``str.split`` then
+    yields ``csv.reader``'s fields.  Those are cast by the same ``float``
+    and ``int`` calls as row by row.  Any other header or block (a header
+    naming a column twice too), a cast, range or finiteness failure, an open
+    or decode error, or a file without rows gives ``None``.
+    """
+    blocks = []
+    try:
+        with open(path, encoding="utf-8") as handle:
+            header = handle.readline()
+            if not _plain(header) or len(header) > csv.field_size_limit():
+                return None
+            header = header.rstrip("\n").split(",")
+            if ("score" not in header or "label" not in header
+                    or len(set(header)) < len(header)):
+                return None
+            width = len(header)
+            casts = [(header.index("score"), float), (header.index("label"), int)]
+            if "timestamp" in header:
+                casts.append((header.index("timestamp"), float))
+            while text := handle.read(_SCORE_BLOCK_CHARS):
+                text += handle.readline()
+                if "\n\n" in text or text[0] == "\n" or text[-1] != "\n":
+                    # Drop blank lines and end the last line, as csv.reader reads.
+                    text = "\n".join(filter(None, text.split("\n"))) + "\n"
+                    if text == "\n":
+                        continue
+                if not _plain(text):
+                    return None
+                raw = np.frombuffer(text.encode(), np.uint8)
+                ends = np.flatnonzero(raw == ord("\n"))
+                # Commas and line ends in file order: width - 1 commas, an end.
+                separators = raw[(raw == ord(",")) | (raw == ord("\n"))]
+                if (separators.size != ends.size * width
+                        or np.any(separators.reshape(-1, width)[:, :-1] != ord(","))
+                        or np.diff(ends, prepend=-1).max() > csv.field_size_limit()):
+                    return None
+                fields = text.replace("\n", ",").split(",")
+                block = [np.fromiter(map(cast, fields[col::width]), cast, ends.size)
+                         for col, cast in casts]
+                score, label = block[:2]
+                if not (np.all((score >= 0.0) & (score <= 1.0))
+                        and np.all((label == 0) | (label == 1))
+                        and np.all(np.isfinite(block[2:]))):
+                    return None
+                blocks.append(block)
+    except (OSError, ValueError, OverflowError):
+        return None
+    if not blocks:
+        return None
+    columns = [np.concatenate(column) for column in zip(*blocks)]
+    return columns[0], columns[1], columns[2] if len(columns) == 3 else None
+
+
+def _plain(text: str) -> bool:
+    """No quote or NUL: the characters that make csv lines more than splits."""
+    return '"' not in text and "\0" not in text
+
+
+def _read_score_rows(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """``read_scores_csv`` through the shared CSV row reader, one row at a time."""
+    problems: list[str] = []
+    reader = _csv_rows(path, ("score", "label"), problems)
+    header = next(reader)
+    score_col = header.index("score")
+    label_col = header.index("label")
+    ts_col = header.index("timestamp") if "timestamp" in header else None
+    scores, labels, stamps = [], [], []
+    for line, row in reader:
+        try:
+            value = float(row[score_col])
+            label = int(row[label_col])
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"score {value} outside [0, 1]")
+            if label not in (0, 1):
+                raise ValueError(f"label {label} not in {{0, 1}}")
+            if ts_col is not None:
+                stamps.append(_parse_timestamp(row[ts_col]))
+        except (ValueError, IngestionError) as exc:
+            problems.append(f"line {line}: {exc}")
+            continue
+        scores.append(value)
+        labels.append(label)
+    _raise_problems(path, problems)
+    if not scores:
+        raise IngestionError(f"{path}: no data rows")
+    stamps_arr = np.array(stamps) if ts_col is not None else None
+    return np.array(scores), np.array(labels), stamps_arr
 
 
 def _format_number(x: float) -> str:

@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from .curves import (OperatingCurve, constrained_auc_case,
@@ -370,9 +370,5 @@ def write_bundle(bundle: ReportBundle, out_dir) -> str:
 
 def report_to_json(report: MetricReport) -> dict:
     """Full-precision JSON form of one metric report."""
-    payload = {key: _json_safe(report.metric(key)) for key in MetricReport.METRIC_KEYS}
-    payload["threshold"] = _json_safe(report.threshold)
-    payload["slip_equals_target"] = report.slip_equals_target
-    payload["n_rows"] = report.n_rows
-    payload["n_positives"] = report.n_positives
-    return payload
+    return {item.name: _json_safe(getattr(report, item.name))
+            for item in fields(MetricReport) if item.name != "curve"}

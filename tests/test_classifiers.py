@@ -8,7 +8,7 @@ from falsecall.classifiers import (BALANCED_RANDOM_FOREST, DUMMY, KNN,
                                    HyperParamSpace, classify, load_model,
                                    save_model, score, train)
 from falsecall.curves import sweep_thresholds, volume_at_target_slip
-from falsecall.dataset import (NUMERIC, ColumnSpec, Dataset,
+from falsecall.dataset import (NUMERIC, ColumnSpec, Dataset, EncodedMatrix,
                                one_hot_fit_transform)
 from falsecall.errors import InputError, StateError
 from falsecall.metrics import SENTINEL_THRESHOLD, TargetSpec
@@ -149,6 +149,17 @@ class TestForest:
         matrix = matrix_from_arrays(np.zeros((10, 2)), [0] * 10)
         with pytest.raises(InputError):
             train(ClassifierSpec(RANDOM_FOREST, dict(self.SPEC)), matrix)
+
+    @pytest.mark.parametrize("kind", [RANDOM_FOREST, BALANCED_RANDOM_FOREST])
+    @pytest.mark.parametrize("subsample", ["all", "sqrt"])
+    def test_zero_feature_columns_rejected(self, kind, subsample):
+        matrix = EncodedMatrix(np.zeros((20, 0)), np.array([0, 1] * 10),
+                               np.arange(20), ())
+        spec = ClassifierSpec(kind, dict(self.SPEC, feature_subsample=subsample))
+        with pytest.raises(InputError) as info:
+            train(spec, matrix)
+        assert str(info.value) == (
+            f"{kind} training needs at least one feature column, got 0")
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("low, high", [

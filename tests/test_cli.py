@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 
@@ -293,6 +294,26 @@ class TestExperiment:
         assert (f"{data}: no feature columns, only 'ts' and 'label'"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
+
+    def test_csv_keys_are_the_parameters_of_load_csv(self):
+        assert (list(cli._EXPERIMENT_KEYS["csv."])
+                == list(inspect.signature(load_csv).parameters))
+
+    def test_csv_missing_key_sets_the_policy(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("timestamp,x,label\n0,1,0\n1,,1\n2,3,0\n")
+        config = experiment_config(tmp_path, data="csv", **{
+            "csv.path": str(data), "csv.missing": "impute"})
+        _, dataset, _ = cli.load_experiment_setup(config)
+        assert np.isnan(dataset.columns["x"]).tolist() == [False, True, False]
+
+    def test_unknown_missing_policy_exits_one(self, tmp_path, capsys):
+        config = experiment_config(tmp_path, data="csv", **{
+            "csv.path": str(tmp_path / "data.csv"), "csv.missing": "maybe"})
+        assert run_cli(["experiment", "--config", config,
+                        "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: missing policy must be 'reject' or 'impute', got 'maybe'\n")
 
     def test_unknown_model_kind_rejected(self, tmp_path, capsys):
         config = experiment_config(tmp_path, models="dummy, xgboost")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import falsecall
-from falsecall import experiment
+from falsecall import dataset, experiment
 from falsecall.dataset import (CATEGORICAL, NUMERIC, ColumnSpec, Dataset,
                                SyntheticConfig, chrono_split,
                                generate_synthetic, load_csv,
@@ -201,7 +201,7 @@ SHARED_CSV_RULES = {
 
 def _score_stamps(block_chars):
     def read(path):
-        with mock.patch.object(experiment, "_SCORE_BLOCK_CHARS", block_chars):
+        with mock.patch.object(dataset, "_SCORE_BLOCK_CHARS", block_chars):
             return experiment.read_scores_csv(path)[2]
     return read
 
@@ -209,7 +209,7 @@ def _score_stamps(block_chars):
 @pytest.mark.parametrize("read", [
     lambda path: load_csv(path).timestamps,
     _score_stamps(16),
-    _score_stamps(experiment._SCORE_BLOCK_CHARS),
+    _score_stamps(dataset._SCORE_BLOCK_CHARS),
 ], ids=["load_csv", "read_scores_csv-16", "read_scores_csv"])
 @pytest.mark.parametrize("body, problem", SHARED_CSV_RULES.values(),
                          ids=SHARED_CSV_RULES.keys())
@@ -222,6 +222,14 @@ def test_both_csv_readers_apply_the_same_rules(tmp_path, read, body, problem):
     with pytest.raises(IngestionError) as info:
         read(path)
     assert str(info.value) == f"{path}: {problem}"
+
+
+def test_score_reader_lives_in_dataset_alone():
+    # The block size and row reader are patched on ``dataset``; a copy left
+    # in ``experiment`` would let such a patch change nothing.
+    assert experiment.read_scores_csv is dataset.read_scores_csv
+    assert not {"csv", "_SCORE_BLOCK_CHARS", "_split_score_blocks", "_plain",
+                "_read_score_rows"} & set(vars(experiment))
 
 
 def utc(*fields):

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from falsecall import experiment
+from falsecall import dataset, experiment
 from falsecall.classifiers import DUMMY, KNN, RANDOM_FOREST, HyperParamSpace
 from falsecall.dataset import (NUMERIC, ColumnSpec, Dataset,
                                one_hot_fit_transform)
@@ -315,6 +315,19 @@ class TestRunMultiSeed:
         assert entry["mean_cv"] == pytest.approx(-0.99)
         assert entry["seeds_passing"] == 0
 
+    def test_uninformative_forest_seeds_are_undeployable(self):
+        # A constant feature ties every score, so no fold has a deployable
+        # slip-compliant threshold and each seed keeps the sentinel.
+        rng = np.random.default_rng(0)
+        labels = (rng.random(400) < 0.1).astype(np.int64)
+        ds = Dataset(timestamps=np.arange(400, dtype=float), labels=labels,
+                     columns={"x0": np.zeros(400)}, schema=(ColumnSpec("x0", NUMERIC),))
+        config = ExperimentConfig(model_kinds=(RANDOM_FOREST,), budget=2, n_seeds=2)
+        aggregate = run_multi_seed(config, ds)[RANDOM_FOREST]
+        assert aggregate.undeployable_seeds == (0, 1)
+        assert aggregate.mean_std("test", "cv")[0] == pytest.approx(TARGETS.s_target - 1)
+        assert verdict(aggregate, TARGETS)["passed"] is False
+
 
 class TestEvaluateExternal:
     def _write(self, tmp_path, rows, header="score,label"):
@@ -402,7 +415,7 @@ class TestEvaluateExternal:
         path.write_bytes("\n".join(["score,label", *rows, ""]).encode(
             errors="surrogateescape"))
         # Six-character rows: each 16-character block holds three of them.
-        with mock.patch.object(experiment, "_SCORE_BLOCK_CHARS", 16), \
+        with mock.patch.object(dataset, "_SCORE_BLOCK_CHARS", 16), \
                 pytest.raises(IngestionError) as info:
             read_scores_csv(path)
         assert str(info.value) == f"{path}: {message}"
@@ -413,21 +426,21 @@ class TestEvaluateExternal:
         path = tmp_path / "scores.csv"
         for end in ("\n", "\r\n"):
             path.write_text(end.join(["score,label,timestamp", *rows, ""]), newline="")
-            expected = experiment._read_score_rows(path)
-            with mock.patch.object(experiment, "_read_score_rows",
-                                   wraps=experiment._read_score_rows) as row_reader:
+            expected = dataset._read_score_rows(path)
+            with mock.patch.object(dataset, "_read_score_rows",
+                                   wraps=dataset._read_score_rows) as row_reader:
                 columns = read_scores_csv(path)
             row_reader.assert_not_called()
             for column, reference in zip(columns, expected, strict=True):
                 assert column.dtype == reference.dtype
                 assert column.tobytes() == reference.tobytes()
 
-    @pytest.mark.parametrize("block_chars", [16, experiment._SCORE_BLOCK_CHARS])
+    @pytest.mark.parametrize("block_chars", [16, dataset._SCORE_BLOCK_CHARS])
     def test_non_finite_timestamps_are_reported_with_their_lines(self, tmp_path,
                                                                  block_chars):
         rows = ["0.9,1,1", "0.1,0,nan", "0.3,0,2", "0.2,1,inf", "0.4,0,-inf", "0.5,0,3"]
         path = self._write(tmp_path, rows, header="score,label,timestamp")
-        with mock.patch.object(experiment, "_SCORE_BLOCK_CHARS", block_chars), \
+        with mock.patch.object(dataset, "_SCORE_BLOCK_CHARS", block_chars), \
                 pytest.raises(IngestionError) as info:
             read_scores_csv(path)
         assert str(info.value) == (

@@ -19,7 +19,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from falsecall import classifiers, experiment
+from falsecall import classifiers, dataset, experiment
 from falsecall.classifiers import (_TREE_ARRAYS, BALANCED_RANDOM_FOREST, KNN,
                                    RANDOM_FOREST, ClassifierSpec,
                                    HyperParamSpace, TrainedModel,
@@ -574,16 +574,16 @@ _BLOCKS_OF_THREE = b"score,label\n" + b"0.5,1\n" * 5
 @hypothesis.example((b"score,label\n0.5,1,0\n1\n", False), 64)
 @hypothesis.example((b"score,label\n0.5\r,1\n", False), 64)
 @hypothesis.example((b'score,"a,b",label\n0.5,0,0,1\n', False), 64)
-@hypothesis.given(score_files(), st.sampled_from([1, 16, 64, experiment._SCORE_BLOCK_CHARS]))
+@hypothesis.given(score_files(), st.sampled_from([1, 16, 64, dataset._SCORE_BLOCK_CHARS]))
 def test_score_blocks_read_like_score_rows(fuzz_dir, case, block_chars):
     data, clean = case
     path = fuzz_dir / "blocks.csv"
     path.write_bytes(data)
-    with mock.patch.object(experiment, "_SCORE_BLOCK_CHARS", block_chars):
+    with mock.patch.object(dataset, "_SCORE_BLOCK_CHARS", block_chars):
         assert (_read_outcome(read_scores_csv, path)
-                == _read_outcome(experiment._read_score_rows, path))
+                == _read_outcome(dataset._read_score_rows, path))
         if clean:
-            assert experiment._split_score_blocks(path) is not None
+            assert dataset._split_score_blocks(path) is not None
 
 
 JSON_KEYS = (st.sampled_from(["", "%", "%s", "%(x)s", "{", "{0}", "}", '"', "\\",
