@@ -25,8 +25,7 @@ for regime in (REGIME_STANDARD, REGIME_REQUIREMENT):
         targets=targets, budget=3, n_seeds=3, base_seed=11, spaces=space)
     aggregates = run_multi_seed(config, data)
     print(f"\n=== regime: {regime} ===")
-    table_csv, _ = render_table(
-        aggregates, columns=("accuracy", "f1", "v_at_s", "cv", "cauc"))
+    table_csv, _ = render_table(aggregates)
     print(table_csv)
     for kind in config.model_kinds:
         entry = verdict(aggregates[kind], targets)

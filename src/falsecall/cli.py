@@ -22,8 +22,9 @@ from typing import Optional
 
 from .classifiers import BALANCED_RANDOM_FOREST, HyperParamSpace, KINDS, \
     KNN, RANDOM_FOREST
-from .dataset import (Dataset, SyntheticConfig, generate_synthetic, load_csv,
-                      one_hot_fit_transform, pca2d, write_csv)
+from .dataset import (MISSING_POLICIES, Dataset, SyntheticConfig,
+                      generate_synthetic, load_csv, one_hot_fit_transform,
+                      pca2d, write_csv)
 from .errors import FalseCallError, IngestionError, InputError
 from .experiment import (EVAL_SETS, ExperimentConfig, evaluate_external,
                          run_multi_seed, verdict)
@@ -84,6 +85,12 @@ def _kinds(value: str) -> tuple:
     return kinds
 
 
+def _policy(value: str) -> str:
+    if value not in MISSING_POLICIES:
+        raise ValueError(value)
+    return value
+
+
 def _bounds(value: str) -> tuple[int, int]:
     lo, hi = value.split(":")
     return int(lo), int(hi)
@@ -97,6 +104,7 @@ def _windows(value: str) -> tuple:
 #: What a value must look like, for every parser that can reject one.
 _EXPECTED = {int: "an integer", float: "a number",
              _kinds: "comma-separated model kinds from " + ", ".join(KINDS),
+             _policy: " or ".join(map(repr, MISSING_POLICIES)),
              _bounds: "integers low:high",
              _windows: "comma-separated start:end numbers"}
 
@@ -116,7 +124,7 @@ _EXPERIMENT_KEYS = {
     "": {"run_id": str, "models": _kinds, "regime": str, "s_target": float,
          "v_target": float, "optimizer": str, "budget": int, "k_folds": int,
          "base_seed": int, "n_seeds": int, "data": str},
-    "csv.": {name: _names if name == "categorical_columns" else str
+    "csv.": {name: {"categorical_columns": _names, "missing": _policy}.get(name, str)
              for name in inspect.signature(load_csv).parameters},
     "synthetic.": _SYNTHETIC_KEYS,
     **{prefix: dict.fromkeys(HyperParamSpace.default(kinds[0]).int_ranges, _bounds)

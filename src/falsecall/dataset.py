@@ -211,6 +211,10 @@ def _floats(cells: list[str]) -> Optional[np.ndarray]:
         return None
 
 
+#: What ``load_csv`` does with an empty numeric cell.
+MISSING_POLICIES = ("reject", "impute")
+
+
 def load_csv(path, timestamp_column: str = "timestamp",
              label_column: str = "label", positive_label: Optional[str] = None,
              categorical_columns: Optional[Sequence[str]] = None,
@@ -228,8 +232,9 @@ def load_csv(path, timestamp_column: str = "timestamp",
     columns.  Empty lines are skipped; line numbers in errors are the
     file's own.
     """
-    if missing not in ("reject", "impute"):
-        raise InputError(f"missing policy must be 'reject' or 'impute', got {missing!r}")
+    if missing not in MISSING_POLICIES:
+        raise InputError(f"missing policy must be "
+                         f"{' or '.join(map(repr, MISSING_POLICIES))}, got {missing!r}")
     problems: list[str] = []
     reader = _csv_rows(path, (timestamp_column, label_column), problems)
     header = next(reader)
@@ -460,6 +465,8 @@ class FeatureEncoder:
     def fit(self, ds: Dataset) -> "FeatureEncoder":
         if ds.n_rows == 0:
             raise InputError("cannot fit an encoder on an empty dataset")
+        if not ds.schema:
+            raise InputError("cannot fit an encoder on a dataset with no feature columns")
         self.schema = ds.schema
         self.levels = {}
         self.medians = {}
@@ -497,8 +504,7 @@ class FeatureEncoder:
                 values = col.astype(float)
                 values = np.where(np.isfinite(values), values, self.medians[spec.name])
                 blocks.append(values[:, None])
-        X = np.hstack(blocks) if blocks else np.zeros((idx.size, 0))
-        return EncodedMatrix(X=X, labels=ds.labels[idx].copy(),
+        return EncodedMatrix(X=np.hstack(blocks), labels=ds.labels[idx].copy(),
                              row_indices=idx, column_names=self.column_names)
 
 

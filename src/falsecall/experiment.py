@@ -166,8 +166,6 @@ def score_report(scores: Sequence[float], labels: Sequence[int],
     so thin evaluation slices degrade gracefully.  ``report.curve`` keeps the
     operating curve the curve metrics came from.
     """
-    if threshold is not None and math.isnan(threshold):
-        raise InputError("threshold must be a number, got nan")
     scores, labels = validated_inputs(scores, labels)
     report = MetricReport(threshold=threshold,
                           n_rows=int(labels.size),
@@ -247,6 +245,8 @@ def optimize_hyperparams(kind: str, space: HyperParamSpace,
     """
     if regime not in REGIMES:
         raise InputError(f"unknown regime {regime!r}")
+    if optimizer not in OPTIMIZERS:
+        raise InputError(f"optimizer must be one of {OPTIMIZERS}")
     folds = stratified_kfold(hyper_matrix, k_folds, derive_seed(seed, "folds"))
     rng = rng_for(seed, "optimizer")
     if propose is None:

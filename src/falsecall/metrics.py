@@ -164,6 +164,8 @@ def validated_inputs(scores: Sequence[float],
 def confusion_counts(scores: Sequence[float], labels: Sequence[int],
                      threshold: float) -> ConfusionCounts:
     """Count prediction outcomes with the rule: positive iff score >= threshold."""
+    if math.isnan(threshold):
+        raise InputError("threshold must be a number, got nan")
     scores, labels = validated_inputs(scores, labels)
     predicted = scores >= threshold
     actual = labels == 1

@@ -5,7 +5,7 @@ emitted as paired CSV (three-decimal display) and JSON (full precision,
 sorted keys).  Every numeric cell carries its provenance: the evaluation set
 and how many seeds defined it.  Rounding is display-only; downstream
 comparisons should parse the JSON.  File layout under an output directory
-is ``<run-id>/<table|curve|timeline|surface>.<csv|json>``.
+is ``<run-id>/<table|curve|timeline>.<csv|json>``.
 """
 
 from __future__ import annotations
@@ -28,29 +28,10 @@ NO_THRESHOLD_MARK = "n/a (no a-priori threshold)"
 #: The metrics that only a decision threshold defines.
 _THRESHOLD_METRICS = MetricReport.METRIC_KEYS[:8]
 
-#: Column aliases accepted by :func:`render_table` (case-insensitive).
-_ALIASES = {
-    "cv": "cv", "vs": "v_at_s", "vats": "v_at_s", "v_at_s": "v_at_s",
-    "cauc": "cauc", "aucpr": "auc_pr", "auc_pr": "auc_pr", "prc": "auc_pr",
-    "youden": "youden_score", "youdenscore": "youden_score",
-    "youden_score": "youden_score", "accuracy": "accuracy",
-    "precision": "precision", "recall": "recall_pos", "recall_pos": "recall_pos",
-    "f1": "f1", "f1score": "f1", "volumereduction": "volume_reduction",
-    "volume_reduction": "volume_reduction", "slip": "slip_rate",
-    "sliprate": "slip_rate", "slip_rate": "slip_rate",
-    "youdenatthreshold": "youden_at_threshold",
-    "youden_at_threshold": "youden_at_threshold",
-}
-
+#: The columns of every experiment table: standard and requirement-aware
+#: metrics side by side.
 DEFAULT_COLUMNS = ("accuracy", "f1", "auc_pr", "youden_score", "v_at_s",
                    "cv", "cauc", "slip_rate", "volume_reduction")
-
-
-def canonical_metric(name: str) -> str:
-    key = "".join(ch for ch in name.lower() if ch.isalnum() or ch == "_")
-    if key not in _ALIASES:
-        raise InputError(f"unknown metric column {name!r}")
-    return _ALIASES[key]
 
 
 def _shown(value: Optional[float], missing: str = "n/a") -> str:
@@ -58,7 +39,7 @@ def _shown(value: Optional[float], missing: str = "n/a") -> str:
     return missing if value is None else f"{value:.3f}"
 
 
-def render_table(aggregates: dict, columns=DEFAULT_COLUMNS) -> tuple[str, dict]:
+def render_table(aggregates: dict) -> tuple[str, dict]:
     """One row per model per evaluation set; returns (csv_text, json_object).
 
     ``aggregates`` maps the model kind to its :class:`SeedAggregate`; the
@@ -66,17 +47,15 @@ def render_table(aggregates: dict, columns=DEFAULT_COLUMNS) -> tuple[str, dict]:
     """
     if not aggregates:
         raise InputError("no aggregates to render")
-    metric_keys = [canonical_metric(c) for c in columns]
-
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["model", "eval_set", "n_seeds"] + list(metric_keys))
+    writer.writerow(["model", "eval_set", "n_seeds", *DEFAULT_COLUMNS])
     rows = []
     for kind, aggregate in aggregates.items():
         for eval_set in aggregate.reports:
             csv_row = [kind, eval_set, len(aggregate.seeds)]
             json_metrics = {}
-            for key in metric_keys:
+            for key in DEFAULT_COLUMNS:
                 mean, std, n = aggregate.mean_std(eval_set, key)
                 csv_row.append(_shown(mean) if mean is None else f"{mean:.3f}±{std:.3f}")
                 json_metrics[key] = {"mean": mean, "std": std, "n": n}
@@ -85,7 +64,7 @@ def render_table(aggregates: dict, columns=DEFAULT_COLUMNS) -> tuple[str, dict]:
                          "n_seeds": len(aggregate.seeds),
                          "seeds": list(aggregate.seeds),
                          "metrics": json_metrics})
-    return buffer.getvalue(), {"rows": rows, "columns": list(metric_keys)}
+    return buffer.getvalue(), {"rows": rows, "columns": list(DEFAULT_COLUMNS)}
 
 
 def export_curve(curve: OperatingCurve, targets: TargetSpec) -> dict:
@@ -172,11 +151,6 @@ def export_surface(surface: MetricSurface) -> tuple[str, dict]:
     return _surface_csv(surface), _surface_payload(surface)
 
 
-def export_projection(projection: Pca2dResult) -> tuple[str, dict]:
-    """Each row's two principal-component coordinates, CSV and JSON."""
-    return _projection_csv(projection), _projection_payload(projection)
-
-
 def render_reports(reports: dict, targets: TargetSpec,
                    threshold_supplied: bool) -> tuple[str, dict]:
     """The ``evaluate`` table, one row per ``{eval_set: MetricReport}`` entry.
@@ -225,8 +199,7 @@ class ReportBundle:
 
 
 def build_bundle(aggregates: dict, targets: TargetSpec, verdicts: list,
-                 run_id: str = "run", provenance: Optional[dict] = None,
-                 surface: Optional[MetricSurface] = None) -> ReportBundle:
+                 run_id: str = "run", provenance: Optional[dict] = None) -> ReportBundle:
     table_csv, table_json = render_table(aggregates)
     table_json["verdicts"] = verdicts
     table_json["provenance"] = provenance or {}
@@ -237,8 +210,6 @@ def build_bundle(aggregates: dict, targets: TargetSpec, verdicts: list,
     files = {**_pair("table", table_csv, table_json),
              **_pair("timeline", *export_timeline(aggregates)),
              "curve.json": dump_json({"models": curves})}
-    if surface is not None:
-        files.update(_pair("surface", *export_surface(surface)))
     return ReportBundle(run_id=run_id, files=files)
 
 

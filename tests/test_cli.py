@@ -313,7 +313,17 @@ class TestExperiment:
         assert run_cli(["experiment", "--config", config,
                         "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
-            "error: missing policy must be 'reject' or 'impute', got 'maybe'\n")
+            f"error: {config}: key 'csv.missing' must be 'reject' or 'impute', "
+            "got 'maybe'\n")
+
+    def test_missing_policy_reported_with_the_key_problems(self, tmp_path, capsys):
+        config = experiment_config(tmp_path, data="csv", bogus=1, **{
+            "csv.path": str(tmp_path / "data.csv"), "csv.missing": "maybe"})
+        assert run_cli(["experiment", "--config", config,
+                        "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: key 'csv.missing' must be 'reject' or 'impute', "
+            "got 'maybe'; unknown key 'bogus'\n")
 
     def test_unknown_model_kind_rejected(self, tmp_path, capsys):
         config = experiment_config(tmp_path, models="dummy, xgboost")

@@ -299,6 +299,12 @@ class TestOneHot:
         with pytest.raises(InputError):
             one_hot_fit_transform(empty)
 
+    def test_dataset_without_feature_columns_rejected(self):
+        ds = Dataset(timestamps=np.arange(4, dtype=float),
+                     labels=np.array([0, 1, 0, 1]), columns={}, schema=())
+        with pytest.raises(InputError, match="no feature columns"):
+            one_hot_fit_transform(ds)
+
     def test_transform_is_column_stable(self):
         ds = self._categorical_ds(["B", "A", "B", "C"])
         matrix, encoder = one_hot_fit_transform(ds)

@@ -112,6 +112,12 @@ class TestOptimizeHyperparams:
         assert trial.mean_performance == pytest.approx(
             float(np.mean(trial.fold_performances)))
 
+    def test_unknown_optimizer_rejected(self):
+        with pytest.raises(InputError, match=r"optimizer must be one of \("):
+            optimize_hyperparams(KNN, HyperParamSpace.default(KNN),
+                                 self._hyper_matrix(), REGIME_STANDARD, TARGETS,
+                                 budget=1, seed=0, optimizer="bogus")
+
     def test_dummy_is_constant_under_both_regimes(self):
         matrix = self._hyper_matrix()
         space = HyperParamSpace.default(DUMMY)

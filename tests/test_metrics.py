@@ -47,6 +47,10 @@ class TestConfusionCounts:
         with pytest.raises(InputError, match="finite"):
             confusion_counts([0.2, bad, 0.7], [1, 0, 0], 0.5)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(InputError, match="threshold must be a number, got nan"):
+            confusion_counts([0.1, 0.9], [0, 1], np.nan)
+
     def test_negative_count_rejected(self):
         with pytest.raises(InputError):
             ConfusionCounts(tp=-1, fp=0, tn=0, fn=0)

@@ -14,11 +14,10 @@ from falsecall.errors import InputError
 from falsecall.experiment import (REGIME_STANDARD, ExperimentConfig,
                                   run_multi_seed, score_report, verdict)
 from falsecall.metrics import SENTINEL_THRESHOLD, TargetSpec, metric_surface
-from falsecall.reporting import (build_bundle, canonical_metric, dump_json,
-                                 export_curve, export_projection,
-                                 export_surface, export_timeline,
-                                 render_table, report_to_json, write_bundle,
-                                 write_export)
+from falsecall.reporting import (DEFAULT_COLUMNS, build_bundle, dump_json,
+                                 export_curve, export_surface,
+                                 export_timeline, render_table,
+                                 report_to_json, write_bundle, write_export)
 from tests.test_experiment import dc_dataset
 
 TARGETS = TargetSpec()
@@ -51,17 +50,10 @@ class TestRenderTable:
 
     def test_requirement_columns_present_in_standard_regime(self):
         _, aggregates = dummy_aggregates(regime=REGIME_STANDARD)
-        _, table_json = render_table(aggregates, columns=("accuracy", "cV"))
-        assert table_json["columns"] == ["accuracy", "cv"]
+        _, table_json = render_table(aggregates)
+        assert table_json["columns"] == list(DEFAULT_COLUMNS)
         test_row = table_json["rows"][0]
         assert test_row["metrics"]["cv"]["mean"] is not None
-
-    def test_alias_resolution(self):
-        assert canonical_metric("V@S") == "v_at_s"
-        assert canonical_metric("cAUC") == "cauc"
-        assert canonical_metric("PRC") == "auc_pr"
-        with pytest.raises(InputError):
-            canonical_metric("roc_auc")
 
     def test_csv_and_json_agree_at_display_precision(self):
         _, aggregates = dummy_aggregates()
@@ -149,17 +141,16 @@ class TestExportSurface:
 
 class TestWriteExport:
     @pytest.mark.parametrize("suffix", [".json", ".csv"])
-    @pytest.mark.parametrize("make, export", [
-        (lambda: metric_surface(0.01, 4, TARGETS), export_surface),
-        (lambda: pca2d(one_hot_fit_transform(generate_synthetic(
+    @pytest.mark.parametrize("make", [
+        lambda: metric_surface(0.01, 4, TARGETS),
+        lambda: pca2d(one_hot_fit_transform(generate_synthetic(
             SyntheticConfig(n_rows=200, prevalence=0.1)))[0]),
-         export_projection),
     ], ids=["surface", "projection"])
     def test_renders_only_the_written_form(self, tmp_path, monkeypatch, suffix,
-                                           make, export):
+                                           make):
         value = make()
-        csv_text, payload = export(value)
         to_csv, to_payload = reporting._EXPORT_FORMS[type(value)]
+        csv_text, payload = to_csv(value), to_payload(value)
 
         def not_written(_):
             raise AssertionError("rendered a form that is not written")
@@ -177,13 +168,11 @@ class TestBundle:
     def test_written_layout(self, tmp_path):
         config, aggregates = dummy_aggregates()
         verdicts = [verdict(aggregates[DUMMY], TARGETS)]
-        bundle = build_bundle(aggregates, TARGETS, verdicts, run_id="demo",
-                              surface=metric_surface(0.01, 3, TARGETS))
+        bundle = build_bundle(aggregates, TARGETS, verdicts, run_id="demo")
         target = write_bundle(bundle, tmp_path)
         names = sorted(p.name for p in (tmp_path / "demo").iterdir())
-        assert names == ["curve.json", "surface.csv", "surface.json",
-                         "table.csv", "table.json", "timeline.csv",
-                         "timeline.json"]
+        assert names == ["curve.json", "table.csv", "table.json",
+                         "timeline.csv", "timeline.json"]
         parsed = json.loads((tmp_path / "demo" / "table.json").read_text())
         assert parsed["verdicts"][0]["passed"] is False
         assert target.endswith("demo")
