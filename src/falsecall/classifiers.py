@@ -573,5 +573,7 @@ def load_model(path) -> TrainedModel:
     threshold = document["decision_threshold"]
     if threshold is not None:
         threshold = float(threshold)
+        if math.isnan(threshold):
+            raise InputError(f"{path}: decision_threshold is NaN")
     return TrainedModel(spec=spec, state=state, decision_threshold=threshold,
                         metadata=document["metadata"])

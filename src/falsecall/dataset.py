@@ -1,7 +1,8 @@
 """Timestamped tabular datasets: ingestion, encoding, splitting, generation.
 
 Every CSV input is read here, datasets by :func:`load_csv` and score
-exports by :func:`read_scores_csv`, through one row reader.
+exports by :func:`read_scores_csv`, through one row reader; a plain score
+export is read by numpy's C text reader instead, with the same values.
 
 A :class:`Dataset` is columnar: one timestamp column, one binary label column
 (1 = defect, 0 = false call) and a mix of numeric and categorical feature
@@ -17,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -309,86 +311,80 @@ def load_csv(path, timestamp_column: str = "timestamp",
     )
 
 
-#: Characters read per block of a score file, before the rest of its last line.
-_SCORE_BLOCK_CHARS = 1 << 18
-
-
 def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Read a score export: header with score,label[,timestamp] columns.
 
     Empty lines are skipped; line numbers in errors are the file's own.
     Timestamps are numbers or ISO 8601, and must be finite.  Unquoted files
-    with numeric stamps, whatever their line ends, are split a block at a
-    time; any other file, and any file with a problem, is read row by row,
+    with numeric stamps, whatever their line ends, go through numpy's C text
+    reader; any other file, and any file with a problem, is read row by row,
     which gives the same values and is the one reader that words errors.
     """
-    columns = _split_score_blocks(path)
+    columns = _score_columns(path)
     return columns if columns is not None else _read_score_rows(path)
 
 
-def _split_score_blocks(path):
-    """``read_scores_csv``'s arrays from blocks split on commas, or ``None``.
+#: Bytes that part numpy's reader from ``csv.reader``: a quote can join
+#: lines into one field, NUL, and 0x1c-0x1f, which numpy's number parser
+#: strips as whitespace and ``float()`` and ``int()`` reject.
+_UNSPLIT_BYTES = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
-    The file is read with newline translation: outside quotes, ``csv.reader``
-    also ends a record at CR, LF or CRLF.  A block qualifies when it holds
-    no quote or NUL and every non-empty line has one comma fewer than the
-    header has columns and fits the csv field limit: ``str.split`` then
-    yields ``csv.reader``'s fields.  Those are cast by the same ``float``
-    and ``int`` calls as row by row.  Any other header or block (a header
-    naming a column twice too), a cast, range or finiteness failure, an open
-    or decode error, or a file without rows gives ``None``.
+
+def _score_columns(path):
+    """``read_scores_csv``'s arrays from ``np.loadtxt``, or ``None``.
+
+    The header is the first line split on commas.  Each row is one record:
+    score and timestamp float64, label int64 (which keeps ``int()``'s rules,
+    so ``1.0`` fails), other columns unused text.  Given a path that passes
+    ``_splits_plainly``, loadtxt finds ``csv.reader``'s lines and fields,
+    and its number grammar is ``float()``'s or narrower, with the same
+    doubles.  Any other file, a header without score and label or naming a
+    column twice, a loadtxt error or warning (no rows), and a value out of
+    range give ``None``.
     """
-    blocks = []
+    kinds = {"score": "f8", "label": "i8", "timestamp": "f8"}
     try:
+        if not _splits_plainly(path):
+            return None
         with open(path, encoding="utf-8") as handle:
-            header = handle.readline()
-            if not _plain(header) or len(header) > csv.field_size_limit():
-                return None
-            header = header.rstrip("\n").split(",")
-            if ("score" not in header or "label" not in header
-                    or len(set(header)) < len(header)):
-                return None
-            width = len(header)
-            casts = [(header.index("score"), float), (header.index("label"), int)]
-            if "timestamp" in header:
-                casts.append((header.index("timestamp"), float))
-            while text := handle.read(_SCORE_BLOCK_CHARS):
-                text += handle.readline()
-                if "\n\n" in text or text[0] == "\n" or text[-1] != "\n":
-                    # Drop blank lines and end the last line, as csv.reader reads.
-                    text = "\n".join(filter(None, text.split("\n"))) + "\n"
-                    if text == "\n":
-                        continue
-                if not _plain(text):
-                    return None
-                raw = np.frombuffer(text.encode(), np.uint8)
-                ends = np.flatnonzero(raw == ord("\n"))
-                # Commas and line ends in file order: width - 1 commas, an end.
-                separators = raw[(raw == ord(",")) | (raw == ord("\n"))]
-                if (separators.size != ends.size * width
-                        or np.any(separators.reshape(-1, width)[:, :-1] != ord(","))
-                        or np.diff(ends, prepend=-1).max() > csv.field_size_limit()):
-                    return None
-                fields = text.replace("\n", ",").split(",")
-                block = [np.fromiter(map(cast, fields[col::width]), cast, ends.size)
-                         for col, cast in casts]
-                score, label = block[:2]
-                if not (np.all((score >= 0.0) & (score <= 1.0))
-                        and np.all((label == 0) | (label == 1))
-                        and np.all(np.isfinite(block[2:]))):
-                    return None
-                blocks.append(block)
-    except (OSError, ValueError, OverflowError):
+            header = handle.readline().removesuffix("\n").split(",")
+        if ("score" not in header or "label" not in header
+                or len(set(header)) < len(header)):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(path, ",".join(kinds.get(name, "U1") for name in header),
+                              comments=None, delimiter=",", skiprows=1, ndmin=1,
+                              encoding="utf-8")
+    except (OSError, ValueError, Warning):
         return None
-    if not blocks:
+    score, label, *stamps = (np.ascontiguousarray(rows[f"f{header.index(name)}"])
+                             for name in kinds if name in header)
+    if not (np.all((score >= 0.0) & (score <= 1.0))
+            and np.all((label == 0) | (label == 1)) and np.all(np.isfinite(stamps))):
         return None
-    columns = [np.concatenate(column) for column in zip(*blocks)]
-    return columns[0], columns[1], columns[2] if len(columns) == 3 else None
+    return score, label, stamps[0] if stamps else None
 
 
-def _plain(text: str) -> bool:
-    """No quote or NUL: the characters that make csv lines more than splits."""
-    return '"' not in text and "\0" not in text
+def _splits_plainly(path) -> bool:
+    """No ``_UNSPLIT_BYTES`` and no line longer than the csv field limit.
+
+    The file is read a megabyte at a time.  A line ends at CR or LF and is
+    measured in bytes, which bounds its characters.
+    """
+    limit, run = csv.field_size_limit(), 0  # run: bytes of the open line
+    with open(path, "rb") as handle:
+        while block := handle.read(1 << 20):
+            if any(byte in block for byte in _UNSPLIT_BYTES):
+                return False
+            start = 0  # Each step skips to the last line end within the limit.
+            while (end := max(block.rfind(b"\n", start, start + limit + 1 - run),
+                              block.rfind(b"\r", start, start + limit + 1 - run))) >= 0:
+                start, run = end + 1, 0
+            run += len(block) - start
+            if run > limit:
+                return False
+    return True
 
 
 def _read_score_rows(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:

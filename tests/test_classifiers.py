@@ -297,6 +297,19 @@ class TestPersistence:
         assert f'"decision_threshold": {spelled}' in path.read_text()
         assert load_model(path).decision_threshold == threshold
 
+    @pytest.mark.parametrize("spelled", ['"nan"', "NaN"])
+    def test_nan_threshold_rejected(self, tmp_path, spelled):
+        train_m, _ = separable_matrices(n_train=40, n_test=4, seed=2)
+        model = train(ClassifierSpec(DUMMY, {}, seed=0), train_m)
+        model.decision_threshold = 0.5
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        path.write_text(path.read_text().replace('"decision_threshold": 0.5',
+                                                 f'"decision_threshold": {spelled}'))
+        with pytest.raises(InputError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: decision_threshold is NaN"
+
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "nope.json"
         path.write_text('{"format": "something-else"}')

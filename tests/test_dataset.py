@@ -1,10 +1,10 @@
+import csv
 import json
 import os
 import subprocess
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -199,17 +199,14 @@ SHARED_CSV_RULES = {
 }
 
 
-def _score_stamps(block_chars):
-    def read(path):
-        with mock.patch.object(dataset, "_SCORE_BLOCK_CHARS", block_chars):
-            return experiment.read_scores_csv(path)[2]
-    return read
+def _score_stamps(path):
+    return experiment.read_scores_csv(path)[2]
 
 
 @pytest.mark.parametrize("read", [
     lambda path: load_csv(path).timestamps,
-    _score_stamps(16),
-    _score_stamps(dataset._SCORE_BLOCK_CHARS),
+    _score_stamps,
+    _score_stamps,
 ], ids=["load_csv", "read_scores_csv-16", "read_scores_csv"])
 @pytest.mark.parametrize("body, problem", SHARED_CSV_RULES.values(),
                          ids=SHARED_CSV_RULES.keys())
@@ -225,11 +222,26 @@ def test_both_csv_readers_apply_the_same_rules(tmp_path, read, body, problem):
 
 
 def test_score_reader_lives_in_dataset_alone():
-    # The block size and row reader are patched on ``dataset``; a copy left
-    # in ``experiment`` would let such a patch change nothing.
+    # The readers are patched on ``dataset``; a copy left in ``experiment``
+    # would let such a patch change nothing.
     assert experiment.read_scores_csv is dataset.read_scores_csv
-    assert not {"csv", "_SCORE_BLOCK_CHARS", "_split_score_blocks", "_plain",
+    assert not {"csv", "_score_columns", "_splits_plainly", "_UNSPLIT_BYTES",
                 "_read_score_rows"} & set(vars(experiment))
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r"])
+@pytest.mark.parametrize("offset", [-100, -60, -1, 0])
+@pytest.mark.parametrize("length", [99, 100, 101])
+def test_line_length_check_spans_read_blocks(tmp_path, end, offset, length):
+    # A line of ``length`` bytes starting ``offset`` bytes from the end of
+    # the first megabyte read, against a csv field limit of 100.
+    path = tmp_path / "scores.csv"
+    path.write_bytes(end * ((1 << 20) + offset) + b"x" * length + end + b"0.5,1" + end)
+    default = csv.field_size_limit(100)
+    try:
+        assert dataset._splits_plainly(path) == (length <= 100)
+    finally:
+        csv.field_size_limit(default)
 
 
 def utc(*fields):

@@ -420,9 +420,7 @@ class TestEvaluateExternal:
         path = tmp_path / "scores.csv"
         path.write_bytes("\n".join(["score,label", *rows, ""]).encode(
             errors="surrogateescape"))
-        # Six-character rows: each 16-character block holds three of them.
-        with mock.patch.object(dataset, "_SCORE_BLOCK_CHARS", 16), \
-                pytest.raises(IngestionError) as info:
+        with pytest.raises(IngestionError) as info:
             read_scores_csv(path)
         assert str(info.value) == f"{path}: {message}"
 
@@ -441,13 +439,10 @@ class TestEvaluateExternal:
                 assert column.dtype == reference.dtype
                 assert column.tobytes() == reference.tobytes()
 
-    @pytest.mark.parametrize("block_chars", [16, dataset._SCORE_BLOCK_CHARS])
-    def test_non_finite_timestamps_are_reported_with_their_lines(self, tmp_path,
-                                                                 block_chars):
+    def test_non_finite_timestamps_are_reported_with_their_lines(self, tmp_path):
         rows = ["0.9,1,1", "0.1,0,nan", "0.3,0,2", "0.2,1,inf", "0.4,0,-inf", "0.5,0,3"]
         path = self._write(tmp_path, rows, header="score,label,timestamp")
-        with mock.patch.object(dataset, "_SCORE_BLOCK_CHARS", block_chars), \
-                pytest.raises(IngestionError) as info:
+        with pytest.raises(IngestionError) as info:
             read_scores_csv(path)
         assert str(info.value) == (
             f"{path}: line 3: non-finite timestamp 'nan'; "

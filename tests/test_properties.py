@@ -491,18 +491,18 @@ def test_score_reader_returns_or_rejects(fuzz_dir, lines):
 USUAL_FIELDS = {"score": ["0.5", "0.25", "1", "0", "0.125", "0.999"],
                 "label": ["0", "1"], "timestamp": ["0", "1.5", "17", "-3"]}
 ODD_FIELDS = {"score": [" 0.5", "1_0", "+1", "nan", "inf", "-0.0", "0.5 ", "", "x",
-                        "1e-3", "\u0661"],
-              "label": ["+1", " 1", "1_0", "2", "1.0", "", "-0", "01"],
+                        "1e-3", "\u0661", "0.5\x1c"],
+              "label": ["+1", " 1", "1_0", "2", "1.0", "", "-0", "01", "\x1f1"],
               "timestamp": ["nan", "inf", "x", " 3", "1_5", ""]}
-#: Quirks a file keeps on the block reader; any other sends it row by row.
-BLOCK_QUIRKS = ("blank line", "no final newline", "crlf")
+#: Quirks a file keeps on numpy's reader; any other sends it row by row.
+FAST_QUIRKS = ("blank line", "no final newline", "crlf")
 ROW_QUIRKS = ("odd value", "quoted field", "spanning field", "cr",
               "extra field", "missing field", "nul", "bad byte", "header cr")
 
 
 @st.composite
 def score_files(draw):
-    """Score file bytes and whether the block reader must take it whole.
+    """Score file bytes and whether numpy's reader must take it whole.
 
     The header names score and label, with or without timestamp, in any
     order; the rows hold usual values; up to three quirks go anywhere.
@@ -512,7 +512,7 @@ def score_files(draw):
     rows = [[draw(st.sampled_from(USUAL_FIELDS[name])) for name in names]
             for _ in range(draw(st.integers(0, 30)))]
     ends = ["\n"] * len(rows)
-    quirks = draw(st.lists(st.sampled_from(BLOCK_QUIRKS + ROW_QUIRKS), max_size=3))
+    quirks = draw(st.lists(st.sampled_from(FAST_QUIRKS + ROW_QUIRKS), max_size=3))
     for quirk in quirks:
         i = draw(st.integers(0, max(len(rows) - 1, 0)))
         j = draw(st.integers(0, len(names) - 1))
@@ -546,7 +546,7 @@ def score_files(draw):
     if "bad byte" in quirks:
         at = draw(st.integers(0, len(data)))
         data = data[:at] + b"\xff" + data[at:]
-    clean = any(rows) and set(quirks) <= set(BLOCK_QUIRKS)
+    clean = any(rows) and set(quirks) <= set(FAST_QUIRKS)
     return data, clean
 
 
@@ -560,30 +560,39 @@ def _read_outcome(read, path):
             for column in columns]
 
 
-#: Six-character rows and 16-character blocks: block 1 holds rows 1-3.
-_BLOCKS_OF_THREE = b"score,label\n" + b"0.5,1\n" * 5
+_FIVE_ROWS = b"score,label\n" + b"0.5,1\n" * 5
 
 
 @hypothesis.settings(max_examples=400, deadline=None)
-@hypothesis.example((_BLOCKS_OF_THREE + b"0.5,1,7\n0.5,1\n", False), 16)
-@hypothesis.example((_BLOCKS_OF_THREE + b"0.5,1\n0.5,1\n0.\xff,1\n", False), 16)
-@hypothesis.example((b'label,score\n1,"0.5\n"\n\n0,-0.0\r\n1, 0.5\n0,+1', False), 1)
-@hypothesis.example((b"score,label\n0.5,1\n\n", True), 1)
-@hypothesis.example((b"score,label\n0.5" + b" " * 131_072 + b",1\n", False), 64)
-@hypothesis.example((b"score,label," + b"x" * 131_073 + b"\n0.5,1,0\n", False), 64)
-@hypothesis.example((b"score,label\n0.5,1,0\n1\n", False), 64)
-@hypothesis.example((b"score,label\n0.5\r,1\n", False), 64)
-@hypothesis.example((b'score,"a,b",label\n0.5,0,0,1\n', False), 64)
-@hypothesis.given(score_files(), st.sampled_from([1, 16, 64, dataset._SCORE_BLOCK_CHARS]))
-def test_score_blocks_read_like_score_rows(fuzz_dir, case, block_chars):
+@hypothesis.example((_FIVE_ROWS + b"0.5,1,7\n0.5,1\n", False))
+@hypothesis.example((_FIVE_ROWS + b"0.5,1\n0.5,1\n0.\xff,1\n", False))
+@hypothesis.example((b'label,score\n1,"0.5\n"\n\n0,-0.0\r\n1, 0.5\n0,+1', False))
+@hypothesis.example((b"score,label\n0.5,1\n\n", True))
+@hypothesis.example((b"score,label\n0.5" + b" " * 131_072 + b",1\n", False))
+@hypothesis.example((b"score,label," + b"x" * 131_073 + b"\n0.5,1,0\n", False))
+@hypothesis.example((b"score,label\n0.5,1,0\n1\n", False))
+@hypothesis.example((b"score,label\n0.5\r,1\n", False))
+@hypothesis.example((b'score,"a,b",label\n0.5,0,0,1\n', False))
+@hypothesis.example((b"score,label\n1_0,1\n", False))
+@hypothesis.example(("score,label\n\u0661,1\n".encode(), False))
+@hypothesis.example((b"score,label\n0.5,1.0\n", False))
+@hypothesis.example((b'score,label\n"0.5",1\n', False))
+@hypothesis.example((b'score,label,note\n0.5,1,"a\n0.25,0,b"\n', False))
+@hypothesis.example((b"score,label\r0.5,1\r0.25,0\r", True))
+@hypothesis.example((b"score,label,note\n0.5,1,a\0b\n", False))
+@hypothesis.example((b"score,label\n0.5,1\n \n", False))
+@hypothesis.example((b"score,label\n", False))
+@hypothesis.example((b"score,label,note\n0.5,1,a\n0.25,0,\n", True))
+@hypothesis.example((b"score,label\n0.5,\x1c1\n", False))
+@hypothesis.given(score_files())
+def test_score_columns_read_like_score_rows(fuzz_dir, case):
     data, clean = case
-    path = fuzz_dir / "blocks.csv"
+    path = fuzz_dir / "scores.csv"
     path.write_bytes(data)
-    with mock.patch.object(dataset, "_SCORE_BLOCK_CHARS", block_chars):
-        assert (_read_outcome(read_scores_csv, path)
-                == _read_outcome(dataset._read_score_rows, path))
-        if clean:
-            assert dataset._split_score_blocks(path) is not None
+    assert (_read_outcome(read_scores_csv, path)
+            == _read_outcome(dataset._read_score_rows, path))
+    if clean:
+        assert dataset._score_columns(path) is not None
 
 
 JSON_KEYS = (st.sampled_from(["", "%", "%s", "%(x)s", "{", "{0}", "}", '"', "\\",
