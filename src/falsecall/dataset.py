@@ -315,10 +315,11 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
     """Read a score export: header with score,label[,timestamp] columns.
 
     Empty lines are skipped; line numbers in errors are the file's own.
-    Timestamps are numbers or ISO 8601, and must be finite.  Unquoted files
-    with numeric stamps, whatever their line ends, go through numpy's C text
-    reader; any other file, and any file with a problem, is read row by row,
-    which gives the same values and is the one reader that words errors.
+    Scores and labels are ASCII numbers without ``_``.  Timestamps are
+    numbers or ISO 8601, and must be finite.  Unquoted files with numeric
+    stamps, whatever their line ends, go through numpy's C text reader; any
+    other file, and any file with a problem, is read row by row, which gives
+    the same values and is the one reader that words errors.
     """
     columns = _score_columns(path)
     return columns if columns is not None else _read_score_rows(path)
@@ -398,6 +399,9 @@ def _read_score_rows(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]
     scores, labels, stamps = [], [], []
     for line, row in reader:
         try:
+            for name, cell in (("score", row[score_col]), ("label", row[label_col])):
+                if "_" in cell or not cell.isascii():  # loadtxt's number grammar
+                    raise ValueError(f"{name} {cell!r} holds '_' or a non-ASCII character")
             value = float(row[score_col])
             label = int(row[label_col])
             if not 0.0 <= value <= 1.0:

@@ -15,8 +15,11 @@ import csv
 import io
 import json
 import os
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
+
+import numpy as np
 
 from .curves import (OperatingCurve, constrained_auc_case,
                      volume_at_target_slip)
@@ -70,11 +73,10 @@ def render_table(aggregates: dict) -> tuple[str, dict]:
 def export_curve(curve: OperatingCurve, targets: TargetSpec) -> dict:
     """Curve points, target-zone rectangle and the applied area case."""
     cauc_value, case = constrained_auc_case(curve, targets)
-    points = [{"threshold": _json_safe(float(t)), "v": float(v),
-               "one_minus_s": float(1.0 - s)}
-              for t, v, s in zip(curve.thresholds, curve.v, curve.s)]
     return {
-        "points": points,
+        "points": _ColumnRows(threshold=np.asarray(curve.thresholds, dtype=float),
+                              v=np.asarray(curve.v, dtype=float),
+                              one_minus_s=1.0 - np.asarray(curve.s, dtype=float)),
         "target_zone": {
             "v_min": targets.v_target,
             "one_minus_s_min": 1.0 - targets.s_target,
@@ -137,8 +139,10 @@ def _projection_csv(projection: Pca2dResult) -> str:
 def _projection_payload(projection: Pca2dResult) -> dict:
     return {
         "explained_variance": [float(x) for x in projection.explained_variance],
-        "rows": [{"pc1": x, "pc2": y, "row_index": i, "label": l}
-                 for x, y, i, l in projection.rows()]}
+        "rows": _ColumnRows(pc1=projection.coords[:, 0].astype(float),
+                            pc2=projection.coords[:, 1].astype(float),
+                            row_index=projection.row_indices.astype(np.int64),
+                            label=projection.labels.astype(np.int64))}
 
 
 #: The (CSV text, JSON payload) renderers of each value ``write_export`` takes.
@@ -220,18 +224,61 @@ _FLAT = json.JSONEncoder(separators=("\n", ": "))
 _SCALARS = (str, int, float, type(None))
 
 
+class _ColumnRows(Sequence):
+    """Read-only rows, at least one, held as equal-length float64 or int64
+    columns; ``rows[i]`` is a dict of Python scalars, infinities spelled as
+    :func:`_json_safe` spells them."""
+
+    def __init__(self, **columns: np.ndarray):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self._columns.values())))
+
+    def __getitem__(self, index: int) -> dict:
+        return {name: _json_safe(column[index].item())
+                for name, column in self._columns.items()}
+
+    def render(self, indent: str) -> str:
+        """The rows as a JSON list closed at ``indent``: the fixed parts of
+        one row template interleaved with each column's cell texts."""
+        inner, names, n = indent + "  ", sorted(self._columns), len(self)
+        parts = _object(_flat(names), ["\0"] * len(names), inner).split("\0")
+        # Row i is pieces[stride * i:stride * (i + 1)]: the previous row's
+        # close and this row's open, then cell, key, cell, ..., key, cell.
+        stride = 2 * len(names)
+        pieces = [parts[-1] + ",\n" + inner + parts[0]] * (stride * n)
+        for j, name in enumerate(names):
+            pieces[2 * j + 1::stride] = _column_texts(self._columns[name])
+            if j:
+                pieces[2 * j::stride] = [parts[j]] * n
+        pieces[0] = "[\n" + inner + parts[0]
+        return "".join(pieces) + parts[-1] + "\n" + indent + "]"
+
+
+def _column_texts(column: np.ndarray) -> list:
+    """Each cell's JSON text, encoded once per distinct bit pattern (``0.0``
+    and ``-0.0`` are equal values with two spellings)."""
+    bits, where = np.unique(column.view(np.int64), return_inverse=True)
+    cells = bits.view(column.dtype).tolist()
+    for i in np.flatnonzero(np.isinf(bits.view(column.dtype))).tolist():
+        cells[i] = _json_safe(cells[i])
+    return np.array(_flat(cells), dtype=object)[where].tolist()
+
+
 def dump_json(payload) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte for byte.
 
-    Flat lists go through the C encoder in one call, and a list of dicts
-    with one shared key set and scalar values (curve points, table and
-    projection rows) is rendered one column at a time.
+    Flat lists go through the C encoder in one call, and a
+    :class:`_ColumnRows` (curve points, projection rows) one column at a time.
     """
     return _render(payload, "") + "\n"
 
 
 def _render(value, indent: str) -> str:
     """``value`` as indented JSON whose closing bracket sits at ``indent``."""
+    if isinstance(value, _ColumnRows):
+        return value.render(indent)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -257,13 +304,9 @@ def _object(keys: list, texts, indent: str) -> str:
 
 def _items(values, indent: str) -> list:
     """Each item of a non-empty list rendered at ``indent``."""
-    if _all_scalar(values):
+    if all(issubclass(kind, _SCALARS) for kind in set(map(type, values))):
         return _flat(values)
-    return _rows(values, indent) or [_render(value, indent) for value in values]
-
-
-def _all_scalar(values) -> bool:
-    return all(issubclass(kind, _SCALARS) for kind in set(map(type, values)))
+    return [_render(value, indent) for value in values]
 
 
 def _flat(values) -> list:
@@ -278,30 +321,6 @@ def _keys(keys: list) -> list:
             raise TypeError(f"keys must be str, int, float, bool or None, "
                             f"not {key.__class__.__name__}")
     return _flat([key if isinstance(key, str) else _FLAT.encode(key) for key in keys])
-
-
-def _rows(rows, indent: str) -> Optional[list]:
-    """Dicts sharing one key set of strings, scalar values, column by column.
-
-    Each column is encoded in one call and every row filled into one
-    template; ``None`` when ``rows`` are not such dicts.  Other keys are
-    left to ``_render``: ``1``, ``True`` and ``1.0`` are equal keys that
-    ``json.dumps`` spells differently.
-    """
-    if not all(isinstance(row, dict) for row in rows) or not rows[0]:
-        return None
-    keys = rows[0].keys()
-    if not all(isinstance(key, str) for key in keys):
-        return None
-    if any(row.keys() != keys for row in rows):
-        return None
-    names = sorted(keys)
-    columns = [[row[name] for row in rows] for name in names]
-    if not all(map(_all_scalar, columns)):
-        return None
-    template = _object([key.replace("%", "%%") for key in _flat(names)],
-                       ["%s"] * len(names), indent)
-    return [template % cells for cells in zip(*map(_flat, columns))]
 
 
 def write_files(directory, files: dict) -> None:

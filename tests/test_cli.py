@@ -126,6 +126,13 @@ class TestEvaluate:
                 "line 5: non-finite timestamp 'inf'") in capsys.readouterr().err
         assert not out.exists()
 
+    def test_underscore_score_exits_one_naming_the_line(self, tmp_path, capsys):
+        scores = write_scores(tmp_path / "s.csv", ["0.9,1", "0.1_2,0"])
+        assert run_cli(["evaluate", "--scores", scores, *TARGET_FLAGS,
+                        "--out", str(tmp_path / "out")]) == 1
+        assert ("s.csv: line 3: score '0.1_2' holds '_' or a non-ASCII character"
+                in capsys.readouterr().err)
+
     def test_missing_file_exits_one(self, tmp_path):
         assert run_cli(["evaluate", "--scores", str(tmp_path / "nope.csv"),
                         *TARGET_FLAGS, "--out", str(tmp_path / "out")]) == 1

@@ -244,6 +244,23 @@ def test_line_length_check_spans_read_blocks(tmp_path, end, offset, length):
         csv.field_size_limit(default)
 
 
+@pytest.mark.parametrize("row, problem", [
+    ("0.1_2,1", "score '0.1_2'"),
+    ("\u0661,1", "score '\u0661'"),
+    ("0.5,0_1", "label '0_1'"),
+    ("0.5,\u0661", "label '\u0661'"),
+], ids=["score-underscore", "score-arabic-indic", "label-underscore",
+        "label-arabic-indic"])
+def test_number_spellings_only_python_reads_are_rejected(tmp_path, row, problem):
+    # float() and int() read these (0.12, 1.0, 1, 1); numpy's reader does not.
+    path = tmp_path / "scores.csv"
+    path.write_text(f"score,label\n0.5,1\n{row}\n", encoding="utf-8")
+    with pytest.raises(IngestionError) as info:
+        dataset.read_scores_csv(path)
+    assert str(info.value) == (f"{path}: line 3: {problem} holds '_' "
+                               f"or a non-ASCII character")
+
+
 def utc(*fields):
     return datetime(*fields, tzinfo=timezone.utc).timestamp()
 

@@ -9,7 +9,8 @@ behind kNN distances against ``ndarray.sum``.  The config and score-file
 readers are fed near-miss keys, malformed values and arbitrary bytes: they
 must either succeed or raise ``InputError``, and the block reader of score
 files must match the row reader's arrays or message.
-``reporting.dump_json`` must give the bytes of the indented ``json.dumps``.
+``reporting.dump_json`` must give the bytes of the indented ``json.dumps``,
+also of curve points held as columns.
 """
 
 import json
@@ -34,8 +35,8 @@ from falsecall.errors import IngestionError, InputError
 from falsecall.experiment import (REGIME_REQUIREMENT, REGIME_STANDARD,
                                   ExperimentConfig, optimize_hyperparams,
                                   read_scores_csv, score_report)
-from falsecall.metrics import TargetSpec
-from falsecall.reporting import dump_json
+from falsecall.metrics import TargetSpec, _json_safe
+from falsecall.reporting import dump_json, export_curve
 from tests.reference_forest import reference_apply_forest, reference_train_forest
 from tests.reference_knn import reference_score_knn
 from tests.reference_ranking import reference_ranked
@@ -648,9 +649,50 @@ def test_dump_json_equals_indented_json_dumps(payload):
     assert dump_json(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+#: Scores whose spellings or ranking are easy to get wrong.
+EDGE_SCORES = [0.0, -0.0, 1.0, 5e-324]
+
+
+@st.composite
+def large_scored_sets(draw):
+    """2-2000 scores of both classes: distinct, on a grid (ties) or one value,
+    with edge scores dropped in anywhere."""
+    n = draw(st.integers(2, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = draw(st.sampled_from([None, 1, 2, 11, 1001]))
+    scores = (rng.random(n) if levels is None
+              else rng.integers(0, levels, n) / max(levels - 1, 1))
+    for _ in range(draw(st.integers(0, 6))):
+        scores[draw(st.integers(0, n - 1))] = draw(st.sampled_from(EDGE_SCORES))
+    labels = (rng.random(n) < draw(st.sampled_from([0.01, 0.3]))).astype(int)
+    labels[rng.choice(n, 2, replace=False)] = [0, 1]
+    return scores, labels
+
+
+def per_point_dicts(curve):
+    """Reference for ``export_curve``'s points: one dict per point, built in Python."""
+    return [{"threshold": _json_safe(float(t)), "v": float(v),
+             "one_minus_s": float(1.0 - s)}
+            for t, v, s in zip(curve.thresholds, curve.v, curve.s)]
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(large_scored_sets())
+def test_dump_json_of_export_curve_equals_json_dumps_of_its_points(case):
+    curve = sweep_thresholds(*case)
+    payload = export_curve(curve, TARGETS)
+    points = payload["points"]
+    assert len(points) == len(curve)
+    assert repr(list(points)) == repr(per_point_dicts(curve))
+    assert points[-1]["threshold"] == "inf"
+    assert dump_json(payload) == json.dumps(
+        {**payload, "points": list(points)}, sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("payload", [
     np.int64(3), [np.int64(3)], {"a": np.int64(3)}, [{"a": 1}, {"a": np.int64(3)}],
-    [{"a": [np.int64(3)]}]], ids=["scalar", "list", "dict", "rows", "nested"])
+    [{"a": [np.int64(3)]}], {np.int64(3): 1}],
+    ids=["scalar", "list", "dict", "rows", "nested", "key"])
 def test_dump_json_rejects_numpy_ints_like_json_dumps(payload):
     with pytest.raises(TypeError) as expected:
         json.dumps(payload, sort_keys=True, indent=2)

@@ -111,7 +111,48 @@ class TestExportCurve:
         curve = sweep_thresholds([0.9, 0.1], [1, 0])
         exported = export_curve(curve, TARGETS)
         assert exported["points"][-1]["threshold"] == "inf"
-        json.dumps(exported)  # must be strict-JSON clean
+
+        def not_strict(constant):
+            raise AssertionError(f"{constant} is not strict JSON")
+
+        json.loads(dump_json(exported), parse_constant=not_strict)
+
+    def test_points_are_a_read_only_sequence_of_point_dicts(self):
+        curve = sweep_thresholds([0.9, 0.8, 0.1, 0.2, 0.15], [1, 1, 0, 0, 0])
+        points = export_curve(curve, TARGETS)["points"]
+        assert len(points) == len(curve)
+        assert points[0] == {"threshold": float(curve.thresholds[0]),
+                             "v": float(curve.v[0]),
+                             "one_minus_s": float(1.0 - curve.s[0])}
+        assert list(points)[-1] == points[-1]
+        with pytest.raises(TypeError):
+            points[0] = {}
+        with pytest.raises(IndexError):
+            points[len(curve)]
+
+
+class TestColumnRows:
+    def test_zero_and_negative_zero_keep_their_spellings(self):
+        rows = reporting._ColumnRows(x=np.array([0.0, -0.0, 0.0, -0.0]),
+                                     n=np.array([1, 0, 1, 1], dtype=np.int64))
+        text = dump_json({"rows": rows})
+        assert text == json.dumps({"rows": list(rows)}, sort_keys=True,
+                                  indent=2) + "\n"
+        assert [line.strip() for line in text.splitlines()
+                if '"x"' in line] == ['"x": 0.0', '"x": -0.0', '"x": 0.0', '"x": -0.0']
+        assert '"n": 1' in text and "1.0" not in text
+
+    def test_projection_rows_equal_the_per_row_dicts(self, tmp_path):
+        projection = pca2d(one_hot_fit_transform(generate_synthetic(
+            SyntheticConfig(n_rows=200, prevalence=0.1)))[0])
+        projection.coords[:2] = [[0.0, -0.0], [-0.0, 0.0]]
+        old_rows = [{"pc1": x, "pc2": y, "row_index": i, "label": l}
+                    for x, y, i, l in projection.rows()]
+        path = tmp_path / "projection.json"
+        write_export(path, projection)
+        payload = json.loads(path.read_text())
+        assert path.read_text() == json.dumps(
+            {**payload, "rows": old_rows}, sort_keys=True, indent=2) + "\n"
 
 
 class TestExportTimeline:
