@@ -188,9 +188,21 @@ def _atomic_output(path):
 # CSV ingestion
 
 
+def _plain_numbers(text: str) -> bool:
+    """ASCII without ``_``: the number grammar every reader here accepts.
+
+    ``float()`` and ``int()`` also read ``1_0`` as 10 and non-ASCII digits
+    such as ``\u0661`` as 1; numpy's text reader does not.  Given many cells
+    joined, one check covers them all.
+    """
+    return text.isascii() and "_" not in text
+
+
 def _parse_timestamp(text: str) -> float:
     """Seconds from a number or an ISO 8601 stamp; a stamp without an offset is UTC."""
     try:
+        if not _plain_numbers(text):
+            raise ValueError
         value = float(text)
     except ValueError:
         try:
@@ -207,6 +219,8 @@ def _parse_timestamp(text: str) -> float:
 
 def _floats(cells: list[str]) -> Optional[np.ndarray]:
     """The cells as floats with NaN for empty ones, or ``None`` if one is text."""
+    if not _plain_numbers("".join(cells)):
+        return None
     try:
         return np.array([float(c) if c else np.nan for c in cells], dtype=float)
     except ValueError:
@@ -223,11 +237,11 @@ def load_csv(path, timestamp_column: str = "timestamp",
              missing: str = "reject") -> Dataset:
     """Load a UTF-8, header-row CSV into a Dataset.
 
-    Feature columns are inferred numeric when every non-empty cell parses as
-    a float, categorical otherwise; ``categorical_columns`` overrides the
-    inference.  Labels are mapped via ``positive_label`` (that literal -> 1,
-    the single remaining literal -> 0); without it the column must already
-    contain 0/1.  Only an empty numeric cell is missing: ``missing="reject"``
+    Feature columns are inferred numeric when every non-empty cell is an
+    ASCII number without ``_``, categorical otherwise; ``categorical_columns``
+    overrides the inference.  Labels are mapped via ``positive_label`` (that
+    literal -> 1, the single remaining literal -> 0); without it the column
+    must already contain 0/1.  Only an empty numeric cell is missing: ``missing="reject"``
     fails on it with line numbers, ``missing="impute"`` stores it as NaN for
     the encoder to fill from its fitted medians.  A ``nan`` or ``inf`` cell
     is rejected under either policy, and so is a file with no feature
@@ -315,8 +329,8 @@ def read_scores_csv(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
     """Read a score export: header with score,label[,timestamp] columns.
 
     Empty lines are skipped; line numbers in errors are the file's own.
-    Scores and labels are ASCII numbers without ``_``.  Timestamps are
-    numbers or ISO 8601, and must be finite.  Unquoted files with numeric
+    Scores, labels and numeric timestamps are ASCII numbers without ``_``;
+    timestamps may also be ISO 8601, and must be finite.  Unquoted files with numeric
     stamps, whatever their line ends, go through numpy's C text reader; any
     other file, and any file with a problem, is read row by row, which gives
     the same values and is the one reader that words errors.
@@ -400,7 +414,7 @@ def _read_score_rows(path) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]
     for line, row in reader:
         try:
             for name, cell in (("score", row[score_col]), ("label", row[label_col])):
-                if "_" in cell or not cell.isascii():  # loadtxt's number grammar
+                if not _plain_numbers(cell):
                     raise ValueError(f"{name} {cell!r} holds '_' or a non-ASCII character")
             value = float(row[score_col])
             label = int(row[label_col])

@@ -19,6 +19,7 @@ so the two can be compared side by side from their reports.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -357,8 +358,137 @@ def run_single_seed(config: ExperimentConfig, dataset: Dataset, kind: str,
     )
 
 
+#: Start method of ``run_multi_seed``'s worker processes; ``None`` takes
+#: multiprocessing's default for the platform.
+_START_METHOD = None
+
+#: (config, dataset, jobs, next_job) of a worker process, set once when it starts.
+_worker_setup: tuple = ()
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
+def _run_job(config: ExperimentConfig, dataset: Dataset, kind: str,
+             seed: int) -> RunResult:
+    """``run_single_seed`` with any error prefixed by its job as a FalseCallError."""
+    try:
+        return run_single_seed(config, dataset, kind, seed)
+    except FalseCallError as exc:
+        raise type(exc)(f"[kind={kind} seed={seed}] {exc}") from exc
+    except Exception as exc:
+        raise FalseCallError(f"[kind={kind} seed={seed}] {exc}") from exc
+
+
+def _claim(next_job) -> int:
+    """Index of the next job nobody has claimed, from the shared counter."""
+    with next_job.get_lock():
+        next_job.value += 1
+        return next_job.value - 1
+
+
+def _run_claimed(config: ExperimentConfig, dataset: Dataset, jobs: list,
+                 next_job, index: int) -> dict:
+    """Run ``jobs[index]`` and then each job claimed from ``next_job``, up to
+    the first that fails: {job: RunResult or error}.
+
+    Jobs are claimed in order, so when one fails every earlier job is
+    already claimed; the failure ends the claims of every process, as no
+    later job's result is needed.
+    """
+    results = {}
+    while index < len(jobs):
+        try:
+            results[jobs[index]] = _run_job(config, dataset, *jobs[index])
+        except FalseCallError as exc:
+            results[jobs[index]] = exc
+            next_job.value = len(jobs)
+            break
+        index = _claim(next_job)
+    return results
+
+
+def _init_worker(config: ExperimentConfig, dataset: Dataset, jobs: list,
+                 next_job) -> None:
+    """Keep the setup; exit once the parent is gone, as a killed caller never
+    tells its workers to stop."""
+    global _worker_setup
+    _worker_setup = (config, dataset, jobs, next_job)
+    import threading
+    import time
+
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _worker_jobs() -> dict:
+    """A worker's completed RunResults; its failed job is left for the caller."""
+    config, dataset, jobs, next_job = _worker_setup
+    return {job: run for job, run
+            in _run_claimed(config, dataset, jobs, next_job, _claim(next_job)).items()
+            if isinstance(run, RunResult)}
+
+
+def _pooled_results(config: ExperimentConfig, dataset: Dataset,
+                    jobs: list) -> dict:
+    """The jobs' results from P processes, the calling process among them.
+
+    P is the smaller of the job count and this process's CPUs, and 1 in a
+    daemonic process, which may not start children; with P = 1 no pool
+    starts and the result is empty.  The caller runs the first job; then
+    each process claims the next unclaimed job whenever it is free, so the
+    work evens out however long each job takes.  The caller's failed job
+    maps to its error; a job a worker did not complete is missing from the
+    result.  Once a job fails or the caller is interrupted, nobody claims
+    another job, so the caller waits for at most one job per worker.
+    """
+    n_procs = min(len(jobs), _cpu_count())
+    if n_procs < 2:
+        return {}
+    import multiprocessing
+    if multiprocessing.current_process().daemon:
+        return {}
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context(_START_METHOD)
+    next_job = context.Value("i", 1)  # job 0 is the caller's
+    with ProcessPoolExecutor(n_procs - 1, mp_context=context,
+                             initializer=_init_worker,
+                             initargs=(config, dataset, jobs, next_job)) as pool:
+        futures = [pool.submit(_worker_jobs) for _ in range(n_procs - 1)]
+        try:
+            results = _run_claimed(config, dataset, jobs, next_job, 0)
+        finally:  # also on Ctrl-C: the workers stop after their current job
+            next_job.value = len(jobs)
+        for future in futures:
+            try:
+                results.update(future.result())
+            except Exception:  # a lost worker or an unpicklable result:
+                pass           # run_multi_seed runs its jobs again
+    return results
+
+
 def run_multi_seed(config: ExperimentConfig, dataset: Dataset) -> dict:
-    """Independent runs per seed and kind, aggregated to mean and deviation."""
+    """Independent runs per seed and kind, aggregated to mean and deviation.
+
+    The (kind, seed) jobs run in several processes when there are CPUs for
+    them (see ``_pooled_results``); any job without a result is run here.
+    Aggregation follows (kind, seed) order, so the first failing job raises,
+    and the aggregates do not depend on the number of processes.
+    """
+    results = _pooled_results(config, dataset, [
+        (kind, seed) for kind in config.model_kinds for seed in config.seeds])
     aggregates: dict[str, SeedAggregate] = {}
     for kind in config.model_kinds:
         reports = {name: [] for name in EVAL_SETS}
@@ -366,12 +496,11 @@ def run_multi_seed(config: ExperimentConfig, dataset: Dataset) -> dict:
         reference_seed = None
         undeployable = []
         for seed in config.seeds:
-            try:
-                run = run_single_seed(config, dataset, kind, seed)
-            except FalseCallError as exc:
-                raise type(exc)(f"[kind={kind} seed={seed}] {exc}") from exc
-            except Exception as exc:
-                raise FalseCallError(f"[kind={kind} seed={seed}] {exc}") from exc
+            run = results.pop((kind, seed), None)
+            if isinstance(run, FalseCallError):
+                raise run
+            if run is None:
+                run = _run_job(config, dataset, kind, seed)
             if reference_curve is None and run.test_report.curve is not None:
                 reference_curve = run.test_report.curve
                 reference_seed = seed

@@ -40,6 +40,18 @@ class TestLoadCsv:
         assert ds.n_rows == 6
         assert list(ds.labels) == [0, 1, 0, 0, 1, 0]
 
+    @pytest.mark.parametrize("odd", ["0.1_2", "\u0661"])
+    def test_numbers_only_python_reads_make_a_column_categorical(self, tmp_path, odd):
+        # float() reads these as 0.12 and 1.0; numpy's reader does not.
+        path = tmp_path / "data.csv"
+        path.write_text(f"ts,f1,f2,label\n0,1.5,{odd},0\n1,2.5,2,1\n2,1e-3,3,0\n",
+                        encoding="utf-8")
+        ds = load_csv(path, timestamp_column="ts", label_column="label")
+        assert {spec.name: spec.kind for spec in ds.schema} == {
+            "f1": NUMERIC, "f2": CATEGORICAL}
+        assert ds.columns["f1"].tolist() == [1.5, 2.5, 1e-3]
+        assert ds.columns["f2"].tolist() == [odd, "2", "3"]
+
     def test_label_literal_mapping(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("ts,x,label\n0,1,false call\n1,2,defect\n2,3,false call\n")
@@ -189,6 +201,16 @@ SHARED_CSV_RULES = {
     "unparseable-timestamp": (
         "timestamp,score,label\n0,0.5,1\nyesterday,0.2,0\n",
         "line 3: unparseable timestamp 'yesterday'"),
+    "timestamp-and-field-count-in-line-order": (
+        "timestamp,score,label\n0,0.5,1\nyesterday,0.2,0\n1,0.2\n",
+        "line 3: unparseable timestamp 'yesterday'; line 4: expected 3 fields, got 2"),
+    # float() reads these as 10 and 3; numpy's reader does not.
+    "underscore-timestamp": (
+        "timestamp,score,label\n0,0.5,1\n1_0,0.2,0\n",
+        "line 3: unparseable timestamp '1_0'"),
+    "arabic-indic-timestamp": (
+        "timestamp,score,label\n0,0.5,1\n\u0663,0.2,0\n",
+        "line 3: unparseable timestamp '\u0663'"),
     "iso-timestamp": (
         "timestamp,score,label\n2024-01-01T00:00:00,0.5,1\n2024-01-02T12:00:00,0.2,0\n",
         None),

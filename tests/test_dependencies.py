@@ -2,6 +2,8 @@
 modules share only the private names listed here."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,3 +50,13 @@ def test_private_names_cross_modules_only_where_listed():
                       and isinstance(node.value, ast.Name)
                       and node.value.id in modules and node.attr.startswith("_")}
     assert {name for name, _ in crossings} == SHARED_PRIVATE, sorted(crossings)
+
+
+def test_import_starts_no_process_machinery():
+    # run_multi_seed imports its pool lazily; importing the package stays cheap.
+    probe = ("import sys, falsecall.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,4 +1,11 @@
+import dataclasses
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 from unittest import mock
 
 import numpy as np
@@ -19,6 +26,13 @@ from falsecall.metrics import SENTINEL_THRESHOLD, TargetSpec, confusion_counts, 
 from falsecall.reporting import render_table, dump_json
 
 TARGETS = TargetSpec()
+
+
+class TwoArgumentError(Exception):
+    """An error that cannot be pickled: unpickling calls it with one argument."""
+
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
 
 
 def dc_dataset(n=5000, per_half=20, seed=0):
@@ -299,10 +313,6 @@ class TestRunMultiSeed:
             run_multi_seed(config, ds)
 
     def test_foreign_error_wrapped_with_cause(self, monkeypatch):
-        class TwoArgumentError(Exception):
-            def __init__(self, code, detail):
-                super().__init__(f"{code}: {detail}")
-
         def failing_run(*args):
             raise TwoArgumentError(7, "disk full")
 
@@ -333,6 +343,227 @@ class TestRunMultiSeed:
         assert aggregate.undeployable_seeds == (0, 1)
         assert aggregate.mean_std("test", "cv")[0] == pytest.approx(TARGETS.s_target - 1)
         assert verdict(aggregate, TARGETS)["passed"] is False
+
+
+POOL_CONFIGS = {
+    "forest": ExperimentConfig(
+        model_kinds=(RANDOM_FOREST,), budget=2, n_seeds=3,
+        spaces={RANDOM_FOREST: HyperParamSpace.default(RANDOM_FOREST).narrowed(
+            n_trees=(10, 12), max_depth=(3, 5))}),
+    "knn": ExperimentConfig(
+        model_kinds=(KNN,), budget=2, n_seeds=3,
+        spaces={KNN: HyperParamSpace.default(KNN).narrowed(k=(1, 9))}),
+    "dummy-knn": ExperimentConfig(
+        model_kinds=(DUMMY, KNN), budget=2, n_seeds=2,
+        spaces={KNN: HyperParamSpace.default(KNN).narrowed(k=(1, 9))}),
+}
+
+
+def pool_dataset():
+    return informative_dataset(n=900, margin=2.0, seed=6)
+
+
+def aggregate_facts(aggregates):
+    """Comparable content of run_multi_seed's result and its table.json bytes."""
+    facts = {}
+    for kind, aggregate in aggregates.items():
+        curve = aggregate.reference_curve
+        facts[kind] = (dataclasses.replace(aggregate, reference_curve=None),
+                       None if curve is None else
+                       [column.tobytes() for column in (curve.thresholds, curve.v, curve.s)])
+    return facts, dump_json(render_table(aggregates)[1])
+
+
+def run_with_cpus(monkeypatch, cpus, config, ds):
+    monkeypatch.setattr(experiment, "_cpu_count", lambda: cpus)
+    return run_multi_seed(config, ds)
+
+
+class TestJobPool:
+    """run_multi_seed's jobs in P = min(jobs, CPUs) processes, the caller among them."""
+
+    @pytest.mark.parametrize("name", sorted(POOL_CONFIGS))
+    def test_results_do_not_depend_on_the_process_count(self, monkeypatch, name):
+        ds = pool_dataset()
+        first, *others = [aggregate_facts(run_with_cpus(monkeypatch, cpus,
+                                                        POOL_CONFIGS[name], ds))
+                          for cpus in (1, 2, 3)]
+        for other in others:
+            assert other == first
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, n_seeds, expected", [
+        (1, 3, 1), (2, 3, 2), (3, 3, 3), (8, 3, 3), (3, 1, 1)])
+    def test_jobs_run_in_p_processes_with_the_caller_among_them(
+            self, monkeypatch, tmp_path, cpus, n_seeds, expected):
+        log = tmp_path / "pids"
+        caller, children = os.getpid(), []
+        real = experiment.run_single_seed
+
+        def logged_run(config, dataset, kind, seed):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            if os.getpid() == caller:
+                children.append(len(multiprocessing.active_children()))
+            time.sleep(0.3)  # long enough for every worker to claim a job
+            return real(config, dataset, kind, seed)
+
+        monkeypatch.setattr(experiment, "run_single_seed", logged_run)
+        config = dataclasses.replace(POOL_CONFIGS["knn"], n_seeds=n_seeds)
+        run_with_cpus(monkeypatch, cpus, config, pool_dataset())
+        pids = log.read_text(encoding="utf-8").split()
+        assert len(pids) == n_seeds
+        assert len(set(pids)) == expected
+        assert str(caller) in pids
+        assert max(children) == expected - 1
+
+    @pytest.mark.parametrize("failing_seed", [0, 1], ids=["in-caller", "in-worker"])
+    def test_failing_seed_raises_as_in_one_process(self, monkeypatch, failing_seed):
+        real = experiment.run_single_seed
+
+        def failing_run(config, dataset, kind, seed):
+            if seed == failing_seed:
+                raise TwoArgumentError(7, "disk full")
+            return real(config, dataset, kind, seed)
+
+        monkeypatch.setattr(experiment, "run_single_seed", failing_run)
+        errors = []
+        for cpus in (1, 2):
+            with pytest.raises(FalseCallError) as info:
+                run_with_cpus(monkeypatch, cpus, POOL_CONFIGS["knn"], pool_dataset())
+            errors.append(info.value)
+            assert multiprocessing.active_children() == []
+        one, two = errors
+        assert type(two) is type(one) is FalseCallError
+        assert str(two) == str(one) == f"[kind=knn seed={failing_seed}] 7: disk full"
+        assert type(two.__cause__) is type(one.__cause__) is TwoArgumentError
+        assert str(two.__cause__) == str(one.__cause__)
+
+    def test_a_free_process_takes_the_next_job(self, monkeypatch, tmp_path):
+        # Seed 1 runs in the worker while the caller gets through the rest.
+        log = tmp_path / "jobs"
+        real = experiment.run_single_seed
+
+        def timed_run(config, dataset, kind, seed):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{seed} {os.getpid()}\n")
+            time.sleep({0: 0.3, 1: 1.5}.get(seed, 0.0))
+            return real(config, dataset, kind, seed)
+
+        monkeypatch.setattr(experiment, "run_single_seed", timed_run)
+        config = dataclasses.replace(POOL_CONFIGS["knn"], n_seeds=4)
+        run_with_cpus(monkeypatch, 2, config, pool_dataset())
+        ran = dict(line.split() for line in log.read_text(encoding="utf-8").splitlines())
+        assert sorted(ran) == ["0", "1", "2", "3"]
+        assert {seed for seed, pid in ran.items() if pid == str(os.getpid())} == {
+            "0", "2", "3"}
+
+    def test_a_failure_in_a_worker_ends_every_process_claims(self, monkeypatch, tmp_path):
+        log = tmp_path / "seeds"
+        real = experiment.run_single_seed
+
+        def failing_run(config, dataset, kind, seed):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{seed}\n")
+            if seed == 1:
+                raise TwoArgumentError(7, "disk full")
+            time.sleep(1.0 if seed == 0 else 0.1)
+            return real(config, dataset, kind, seed)
+
+        monkeypatch.setattr(experiment, "run_single_seed", failing_run)
+        config = dataclasses.replace(POOL_CONFIGS["knn"], n_seeds=6)
+        with pytest.raises(FalseCallError, match=r"^\[kind=knn seed=1\] 7: disk full$"):
+            run_with_cpus(monkeypatch, 2, config, pool_dataset())
+        # The caller's seed 0, seed 1 in the worker and again in the caller.
+        assert sorted(log.read_text(encoding="utf-8").split()) == ["0", "1", "1"]
+        assert multiprocessing.active_children() == []
+
+    def test_jobs_of_a_lost_worker_run_in_the_caller(self, monkeypatch):
+        caller = os.getpid()
+        real = experiment.run_single_seed
+
+        def dying_run(config, dataset, kind, seed):
+            if os.getpid() != caller:
+                os._exit(1)
+            return real(config, dataset, kind, seed)
+
+        config, ds = POOL_CONFIGS["knn"], pool_dataset()
+        expected = aggregate_facts(run_with_cpus(monkeypatch, 1, config, ds))
+        monkeypatch.setattr(experiment, "run_single_seed", dying_run)
+        assert aggregate_facts(run_with_cpus(monkeypatch, 3, config, ds)) == expected
+        assert multiprocessing.active_children() == []
+
+    def test_spawned_workers_give_the_forked_results(self, monkeypatch):
+        config, ds = POOL_CONFIGS["forest"], pool_dataset()
+        forked = aggregate_facts(run_with_cpus(monkeypatch, 2, config, ds))
+        monkeypatch.setattr(experiment, "_START_METHOD", "spawn")
+        assert aggregate_facts(run_with_cpus(monkeypatch, 2, config, ds)) == forked
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_workers_exit_when_the_caller_is_killed(self):
+        script = ("import os, sys, time\n"
+                  "from falsecall import experiment\n"
+                  "def slow_run(config, dataset, kind, seed):\n"
+                  "    print(os.getpid(), flush=True)\n"
+                  "    time.sleep(60)\n"
+                  "experiment.run_single_seed = slow_run\n"
+                  "experiment._cpu_count = lambda: 2\n"
+                  "experiment.run_multi_seed(experiment.ExperimentConfig(n_seeds=2), None)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        caller = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                  stdout=subprocess.PIPE, text=True)
+
+        def running(pid):  # neither gone nor a zombie
+            try:
+                with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+                    return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        pids = {int(caller.stdout.readline()) for _ in range(2)}
+        (worker,) = pids - {caller.pid}
+        caller.kill()
+        caller.wait()
+        caller.stdout.close()
+        try:
+            deadline = time.monotonic() + 10
+            while running(worker) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not running(worker)
+        finally:
+            if running(worker):
+                os.kill(worker, signal.SIGKILL)
+
+    def test_interrupted_caller_waits_for_one_job_per_worker(self):
+        # SIGINT to the caller alone; a terminal's Ctrl-C also reaches the workers.
+        script = ("import os, time\n"
+                  "from falsecall import experiment\n"
+                  "def slow_run(config, dataset, kind, seed):\n"
+                  "    print(seed, flush=True)\n"
+                  "    time.sleep(2)\n"
+                  "experiment.run_single_seed = slow_run\n"
+                  "experiment._cpu_count = lambda: 2\n"
+                  "experiment.run_multi_seed(experiment.ExperimentConfig(n_seeds=6), None)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        caller = subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            started = [caller.stdout.readline().strip() for _ in range(2)]
+            caller.send_signal(signal.SIGINT)
+            rest, errors = caller.communicate(timeout=30)
+        finally:
+            caller.kill()
+        assert "KeyboardInterrupt" in errors
+        assert sorted(started) == ["0", "1"] and rest == ""
+
+    def test_daemonic_caller_runs_in_process(self, monkeypatch):
+        config, ds = POOL_CONFIGS["knn"], pool_dataset()
+        monkeypatch.setattr(experiment, "_cpu_count", lambda: 2)
+        # A pool worker is daemonic; starting a child from it would raise.
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            aggregates = pool.apply(run_multi_seed, (config, ds))
+        assert aggregate_facts(aggregates) == aggregate_facts(run_multi_seed(config, ds))
 
 
 class TestEvaluateExternal:

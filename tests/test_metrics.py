@@ -5,11 +5,52 @@ from falsecall.errors import InputError, UndefinedRateError
 from falsecall.metrics import (ConfusionCounts, TargetSpec, analytic_metrics,
                                confusion_counts, constrained_volume,
                                metric_surface, slip_rate, standard_metrics,
-                               volume_reduction, youden_index)
+                               validated_inputs, volume_reduction, youden_index)
 
 SIX_SCORES = [0.9, 0.4, 0.8, 0.3, 0.2, 0.1]
 SIX_LABELS = [1, 1, 0, 0, 0, 0]
 TARGETS = TargetSpec(s_target=0.01, v_target=0.40)
+
+
+#: Label arrays of every dtype the label check may meet, and whether each
+#: element is 0 or 1.
+LABEL_DTYPES = {
+    "int64": (np.array([0, 1, 2, -1]), [True, True, False, False]),
+    "uint8": (np.array([0, 1, 255], dtype=np.uint8), [True, True, False]),
+    "int8": (np.array([0, 1, -1], dtype=np.int8), [True, True, False]),
+    "bool": (np.array([False, True]), [True, True]),
+    "float64-nan": (np.array([0.0, 1.0, 0.5, np.nan]), [True, True, False, False]),
+    "complex": (np.array([0, 1 + 0j, 1j]), [True, True, False]),
+    "object": (np.array([0, 1, "1", None], dtype=object), [True, True, False, False]),
+    "str": (np.array(["0", "1"]), [False, False]),
+}
+
+
+#: Before 1.25, numpy warns when comparing a str array with an int and
+#: returns one scalar; the check still rejects such labels, with a warning.
+STR_COMPARISON_WARNS = np.lib.NumpyVersion(np.__version__) < "1.25.0"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.skipif(
+        name == "str" and STR_COMPARISON_WARNS, reason="numpy < 1.25 warns"))
+    for name in sorted(LABEL_DTYPES)])
+def test_label_check_accepts_what_isin_accepts(name):
+    labels, mask = LABEL_DTYPES[name]
+    assert np.isin(labels, (0, 1)).tolist() == mask
+    scores = np.full(labels.size, 0.5)
+    if all(mask):
+        assert validated_inputs(scores, labels)[1] is labels
+    else:
+        with pytest.raises(InputError, match="labels must be 0 or 1"):
+            validated_inputs(scores, labels)
+    for index, accepted in enumerate(mask):
+        if accepted:
+            continue
+        keep = [i for i, ok in enumerate(mask) if ok or i == index]
+        with pytest.raises(InputError, match="labels must be 0 or 1"):
+            validated_inputs(scores[keep], labels[keep])
 
 
 class TestConfusionCounts:
