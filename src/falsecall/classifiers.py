@@ -79,6 +79,11 @@ class HyperParamSpace:
     choices: dict = field(default_factory=dict)
     odd_only: frozenset = frozenset()
 
+    def __post_init__(self):
+        for name, (lo, hi) in self.int_ranges.items():
+            if name in self.odd_only and hi < lo + (lo % 2 == 0):
+                raise InputError(f"{self.kind}: {name}=({lo}, {hi}) holds no odd value")
+
     @classmethod
     def default(cls, kind: str) -> "HyperParamSpace":
         if kind == DUMMY:
@@ -291,8 +296,6 @@ def _train_forest(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray) -> dict:
         raise InputError("n_trees must be >= 1")
     if min_leaf < 1:
         raise InputError("min_leaf must be >= 1")
-    if X.shape[1] == 0:
-        raise InputError(f"{spec.kind} training needs at least one feature column, got 0")
     n_candidates = _candidate_count(mode, X.shape[1])
 
     balanced = spec.kind == BALANCED_RANDOM_FOREST
@@ -352,6 +355,8 @@ def train(spec: ClassifierSpec, matrix: EncodedMatrix) -> TrainedModel:
 
     if min(counts) == 0:
         raise InputError(f"{spec.kind} training needs both classes, got counts {counts}")
+    if X.shape[1] == 0:
+        raise InputError(f"{spec.kind} training needs at least one feature column, got 0")
     state = (_train_knn if spec.kind == KNN else _train_forest)(spec, X, y)
     return TrainedModel(spec=spec, state=state, metadata=metadata)
 
@@ -376,7 +381,7 @@ def score(model: TrainedModel, rows: Union[EncodedMatrix, np.ndarray]) -> np.nda
     if kind == DUMMY:
         return np.full(X.shape[0], float(model.state["majority"]))
     if kind == KNN:
-        return _score_knn(model.state, X)
+        return _knn_vote_table(model.state, X, model.state["k"])[:, -1]
     trees = model.state["trees"]
     return _forest_votes(trees, X) / len(trees)
 
@@ -436,7 +441,7 @@ _KNN_CHUNK_BYTES = 4 << 20
 
 
 def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum ``terms`` over its leading axis in place; returns ``terms[0]``.
+    """Sum ``terms``, at least one, over its leading axis in place; returns ``terms[0]``.
 
     The terms are added in the order ``ndarray.sum`` adds a contiguous axis
     of that length (numpy's pairwise summation), so the result is
@@ -446,8 +451,6 @@ def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
     that, the two halves split at a multiple of 8, each summed this way.
     """
     n = len(terms)
-    if n == 0:
-        return np.zeros(terms.shape[1:])
     if n > 128:
         half = n // 2 - n // 2 % 8
         _pairwise_sum(terms[:half])
@@ -483,7 +486,7 @@ def _knn_vote_table(state: dict, X: np.ndarray, k_max: int) -> np.ndarray:
     """
     Xq = (X - state["mean"]) / state["std"]
     Xt, y = state["X"], state["y"]
-    chunk = max(1, _KNN_CHUNK_BYTES // max(1, Xt.nbytes))
+    chunk = max(1, _KNN_CHUNK_BYTES // Xt.nbytes)
     ranks = np.arange(1, k_max + 1)
     table = np.empty((Xq.shape[0], k_max))
     features = np.ascontiguousarray(Xt.T)[:, None, :]
@@ -512,10 +515,6 @@ def _knn_vote_table(state: dict, X: np.ndarray, k_max: int) -> np.ndarray:
         positives = np.where(at_edge, (mask @ y)[:, None], positives)
         table[start:start + chunk] = positives / counts
     return table
-
-
-def _score_knn(state: dict, X: np.ndarray) -> np.ndarray:
-    return _knn_vote_table(state, X, state["k"])[:, -1]
 
 
 def classify(model: TrainedModel, rows: Union[EncodedMatrix, np.ndarray]) -> np.ndarray:
@@ -560,20 +559,26 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    with open(path, encoding="utf-8") as handle:
-        document = json.load(handle)
-    if document.get("format") != MODEL_FORMAT:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            document = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(document, dict) or document.get("format") != MODEL_FORMAT:
         raise InputError(f"{path}: not a {MODEL_FORMAT} file")
     if document.get("version") != MODEL_VERSION:
         raise InputError(f"{path}: unsupported version {document.get('version')}")
-    spec = ClassifierSpec(kind=document["kind"],
-                          hyperparameters=document["hyperparameters"],
-                          seed=document["seed"])
-    state = _converted_state(spec.kind, document["state"], np.array)
-    threshold = document["decision_threshold"]
+    try:
+        spec = ClassifierSpec(kind=document["kind"],
+                              hyperparameters=document["hyperparameters"],
+                              seed=document["seed"])
+        state = _converted_state(spec.kind, document["state"], np.array)
+        threshold, metadata = document["decision_threshold"], document["metadata"]
+    except KeyError as exc:
+        raise InputError(f"{path}: missing field {exc}") from exc
     if threshold is not None:
         threshold = float(threshold)
         if math.isnan(threshold):
             raise InputError(f"{path}: decision_threshold is NaN")
     return TrainedModel(spec=spec, state=state, decision_threshold=threshold,
-                        metadata=document["metadata"])
+                        metadata=metadata)

@@ -348,30 +348,27 @@ _UNSPLIT_BYTES = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 def _score_columns(path):
     """``read_scores_csv``'s arrays from ``np.loadtxt``, or ``None``.
 
-    The header is the first line split on commas.  Each row is one record:
-    score and timestamp float64, label int64 (which keeps ``int()``'s rules,
-    so ``1.0`` fails), other columns unused text.  Given a path that passes
+    The header is ``_csv_rows``'s.  Each row is one record: score and
+    timestamp float64, label int64 (which keeps ``int()``'s rules, so ``1.0``
+    fails), other columns unused text.  Given a path that passes
     ``_splits_plainly``, loadtxt finds ``csv.reader``'s lines and fields,
     and its number grammar is ``float()``'s or narrower, with the same
-    doubles.  Any other file, a header without score and label or naming a
-    column twice, a loadtxt error or warning (no rows), and a value out of
-    range give ``None``.
+    doubles.  Any other file, a header ``_csv_rows`` rejects, a loadtxt
+    error or warning (no rows), and a value out of range give ``None``.
     """
     kinds = {"score": "f8", "label": "i8", "timestamp": "f8"}
     try:
         if not _splits_plainly(path):
             return None
-        with open(path, encoding="utf-8") as handle:
-            header = handle.readline().removesuffix("\n").split(",")
-        if ("score" not in header or "label" not in header
-                or len(set(header)) < len(header)):
-            return None
+        reader = _csv_rows(path, ("score", "label"), [])
+        header = next(reader)
+        reader.close()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = np.loadtxt(path, ",".join(kinds.get(name, "U1") for name in header),
                               comments=None, delimiter=",", skiprows=1, ndmin=1,
                               encoding="utf-8")
-    except (OSError, ValueError, Warning):
+    except (OSError, ValueError, Warning, IngestionError):
         return None
     score, label, *stamps = (np.ascontiguousarray(rows[f"f{header.index(name)}"])
                              for name in kinds if name in header)

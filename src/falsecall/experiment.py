@@ -67,9 +67,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.model_kinds:
             raise InputError("at least one model kind is required")
-        for kind in self.model_kinds:
+        for i, kind in enumerate(self.model_kinds):
             if kind not in classifiers.KINDS:
                 raise InputError(f"unknown classifier kind {kind!r}")
+            if kind in self.model_kinds[:i]:
+                raise InputError(f"model kind {kind!r} is repeated")
         if self.regime not in REGIMES:
             raise InputError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if self.optimizer not in OPTIMIZERS:
@@ -241,14 +243,15 @@ def optimize_hyperparams(kind: str, space: HyperParamSpace,
     infeasible (no deployable slip-compliant point) are excluded from the
     threshold mean; a trial whose folds are all infeasible keeps the sentinel
     threshold and is marked undeployable.  Ties on mean performance go to the
-    earlier trial.  kNN trials still train per fold, but read their scores
-    from one neighbour-vote table per fold, computed once for the call.
+    earlier trial.  Fold rows are taken once for the call; kNN trials still
+    train per fold, but score from one neighbour-vote table per fold.
     """
     if regime not in REGIMES:
         raise InputError(f"unknown regime {regime!r}")
     if optimizer not in OPTIMIZERS:
         raise InputError(f"optimizer must be one of {OPTIMIZERS}")
-    folds = stratified_kfold(hyper_matrix, k_folds, derive_seed(seed, "folds"))
+    folds = [(hyper_matrix.take(train), hyper_matrix.take(val)) for train, val
+             in stratified_kfold(hyper_matrix, k_folds, derive_seed(seed, "folds"))]
     rng = rng_for(seed, "optimizer")
     if propose is None:
         propose = (_propose_surrogate if optimizer == OPTIMIZER_SURROGATE
@@ -257,18 +260,7 @@ def optimize_hyperparams(kind: str, space: HyperParamSpace,
     # A kNN fold's standardised rows do not depend on k, so the first trial
     # to score a fold keeps the neighbour votes of every k the space allows.
     k_range = space.int_ranges.get("k")
-    knn_votes: dict[int, np.ndarray] = {}
-
-    def fold_scores(fold_index: int, model: TrainedModel,
-                    val: EncodedMatrix) -> np.ndarray:
-        if kind != classifiers.KNN:
-            return classifiers.score(model, val)
-        k = model.state["k"]
-        if fold_index not in knn_votes:
-            k_max = min(k_range[1], model.metadata["n_train"]) if k_range else k
-            knn_votes[fold_index] = classifiers._knn_vote_table(
-                model.state, val.X, k_max)
-        return knn_votes[fold_index][:, k - 1]
+    knn_votes: list[np.ndarray] = []
 
     history: list[TrialResult] = []
     best: Optional[TrialResult] = None
@@ -277,13 +269,19 @@ def optimize_hyperparams(kind: str, space: HyperParamSpace,
         space.validate(params)
         performances: list[float] = []
         thresholds: list[float] = []
-        for fold_index, (train_idx, val_idx) in enumerate(folds):
+        for fold_index, (train, val) in enumerate(folds):
             spec = ClassifierSpec(
                 kind=kind, hyperparameters=params,
                 seed=derive_seed(seed, "trial", trial_index, "fold", fold_index))
-            model = classifiers.train(spec, hyper_matrix.take(train_idx))
-            val = hyper_matrix.take(val_idx)
-            val_scores = fold_scores(fold_index, model, val)
+            model = classifiers.train(spec, train)
+            if kind != classifiers.KNN:
+                val_scores = classifiers.score(model, val)
+            else:
+                k = model.state["k"]
+                if fold_index == len(knn_votes):
+                    k_max = min(k_range[1], train.n_rows) if k_range else k
+                    knn_votes.append(classifiers._knn_vote_table(model.state, val.X, k_max))
+                val_scores = knn_votes[fold_index][:, k - 1]
             curve = sweep_thresholds(val_scores, val.labels)
             if regime == REGIME_STANDARD:
                 performances.append(auc_pr(val_scores, val.labels))

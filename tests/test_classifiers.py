@@ -150,7 +150,7 @@ class TestForest:
         with pytest.raises(InputError):
             train(ClassifierSpec(RANDOM_FOREST, dict(self.SPEC)), matrix)
 
-    @pytest.mark.parametrize("kind", [RANDOM_FOREST, BALANCED_RANDOM_FOREST])
+    @pytest.mark.parametrize("kind", [RANDOM_FOREST, BALANCED_RANDOM_FOREST, KNN])
     @pytest.mark.parametrize("subsample", ["all", "sqrt"])
     def test_zero_feature_columns_rejected(self, kind, subsample):
         matrix = EncodedMatrix(np.zeros((20, 0)), np.array([0, 1] * 10),
@@ -264,6 +264,12 @@ class TestHyperParamSpace:
         with pytest.raises(InputError):
             space.validate({"k": 3, "extra": 1})
 
+    @pytest.mark.parametrize("bounds", [(2, 2), (4, 3)])
+    def test_odd_range_without_odd_value_rejected(self, bounds):
+        with pytest.raises(InputError) as info:
+            HyperParamSpace(KNN, {"k": bounds}, odd_only=frozenset({"k"}))
+        assert str(info.value) == f"knn: k={bounds} holds no odd value"
+
 
 class TestPersistence:
     @pytest.mark.parametrize("kind,params", [
@@ -309,6 +315,20 @@ class TestPersistence:
         with pytest.raises(InputError) as info:
             load_model(path)
         assert str(info.value) == f"{path}: decision_threshold is NaN"
+
+    @pytest.mark.parametrize("text, problem", [
+        (None, "cannot read {path}: [Errno 2] No such file or directory"),
+        ("not json", "cannot read {path}: Expecting value: line 1 column 1 (char 0)"),
+        ("[1]", "{path}: not a falsecall-model file"),
+        ('{"format": "falsecall-model", "version": 1}', "{path}: missing field 'kind'"),
+    ], ids=["missing-file", "not-json", "not-an-object", "no-kind"])
+    def test_unreadable_file_named(self, tmp_path, text, problem):
+        path = tmp_path / "model.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(InputError) as info:
+            load_model(path)
+        assert str(info.value).startswith(problem.format(path=path))
 
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "nope.json"

@@ -338,6 +338,20 @@ class TestExperiment:
                         "--out", str(tmp_path / "out")]) == 1
         assert "xgboost" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, problem", [
+        ({"models": "dummy, knn, dummy"}, "model kind 'dummy' is repeated"),
+        ({"models": "knn", "space.knn.k": "2:2"}, "knn: k=(2, 2) holds no odd value"),
+    ], ids=["repeated-kind", "k-without-odd-value"])
+    def test_config_rejected_before_data_is_read(self, tmp_path, capsys, overrides,
+                                                  problem):
+        # The data file does not exist: reading it would fail differently.
+        config = experiment_config(tmp_path, data="csv", **overrides,
+                                   **{"csv.path": str(tmp_path / "absent.csv")})
+        assert run_cli(["experiment", "--config", config,
+                        "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {config}: {problem}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file_exits_one(self, tmp_path):
         assert run_cli(["experiment", "--config", str(tmp_path / "absent.txt"),
                         "--out", str(tmp_path / "out")]) == 1

@@ -13,7 +13,7 @@ import pytest
 
 from falsecall import dataset, experiment
 from falsecall.classifiers import DUMMY, KNN, RANDOM_FOREST, HyperParamSpace
-from falsecall.dataset import (NUMERIC, ColumnSpec, Dataset,
+from falsecall.dataset import (NUMERIC, ColumnSpec, Dataset, EncodedMatrix,
                                one_hot_fit_transform)
 from falsecall.errors import FalseCallError, IngestionError, InputError
 from falsecall.experiment import (REGIME_REQUIREMENT, REGIME_STANDARD,
@@ -225,6 +225,24 @@ class TestOptimizeHyperparams:
         assert search(11, 3).spec.hyperparameters["k"] in (11, 3)
         with pytest.raises(InputError, match=r"k=15 exceeds the 12 training rows"):
             search(3, 15)
+
+    @pytest.mark.parametrize("kind, space", [
+        (KNN, HyperParamSpace.default(KNN)),
+        (RANDOM_FOREST, HyperParamSpace.default(RANDOM_FOREST).narrowed(n_trees=(10, 12)))])
+    def test_folds_are_taken_once_per_search(self, kind, space):
+        matrix = self._hyper_matrix()
+        real_take = EncodedMatrix.take
+        taken = []
+
+        def spy_take(self, indices):
+            taken.append(len(indices))
+            return real_take(self, indices)
+
+        with mock.patch.object(EncodedMatrix, "take", spy_take):
+            optimize_hyperparams(kind, space, matrix, REGIME_STANDARD, TARGETS,
+                                 budget=3, seed=0, k_folds=4)
+        assert len(taken) == 2 * 4
+        assert sum(taken) == 4 * matrix.n_rows
 
     def test_knn_space_without_k_range_searches_default_k(self):
         matrix = self._hyper_matrix()
