@@ -529,21 +529,75 @@ def classify(model: TrainedModel, rows: Union[EncodedMatrix, np.ndarray]) -> np.
 
 
 def _converted_state(kind: str, state: dict, convert) -> dict:
-    """``state`` with ``convert(value, dtype)`` applied to each fitted array."""
+    """``state`` with ``convert(value, dtype, field)`` applied to each fitted
+    array, ``field`` naming it as in ``state.X`` or ``state.trees[0].left``."""
     if kind == DUMMY:
         return state
     if kind == KNN:
-        return {**state, **{name: convert(state[name], dtype)
+        return {**state, **{name: convert(state[name], dtype, f"state.{name}")
                             for name, dtype in _KNN_ARRAYS.items()}}
-    return {**state, "trees": [{name: convert(tree[name], dtype)
+    return {**state, "trees": [{name: convert(tree[name], dtype, f"state.trees[{i}].{name}")
                                 for name, dtype in _TREE_ARRAYS.items()}
-                               for tree in state["trees"]]}
+                               for i, tree in enumerate(state["trees"])]}
+
+
+def _loaded_array(value, dtype, field: str) -> np.ndarray:
+    """A saved list as a ``dtype`` array; integers may stand for floats."""
+    try:
+        array = np.array(value)
+    except ValueError:  # rows of unequal length
+        array = np.array(None)
+    if array.dtype.kind not in ("i" if dtype is np.int64 else "if"):
+        raise ValueError(f"{field} must be a list of "
+                         f"{'integers' if dtype is np.int64 else 'numbers'}")
+    return array.astype(dtype)
+
+
+def _check_state(kind: str, state: dict, n_features: int) -> None:
+    """Raise ``ValueError`` naming a fitted field that ``score`` could not use.
+
+    Tree nodes are numbered in pre-order, so each split's children come
+    after it: a walk from the root always reaches a leaf.
+    """
+    if kind == DUMMY:
+        if state.get("majority") not in (0, 1):
+            raise ValueError("state.majority must be 0 or 1")
+    elif kind == KNN:
+        y, k = state["y"], state.get("k")
+        if y.ndim != 1 or not np.isin(y, (0, 1)).all():
+            raise ValueError("state.y must be a list of 0s and 1s")
+        if state["X"].shape != (len(y), n_features):
+            raise ValueError(f"state.X must have one row per state.y and "
+                             f"{n_features} columns, got shape {state['X'].shape}")
+        for name in ("mean", "std"):
+            if state[name].shape != (n_features,):
+                raise ValueError(f"state.{name} must hold {n_features} values")
+        if type(k) is not int or not 1 <= k <= len(y):
+            raise ValueError(f"state.k must be an integer in [1, {len(y)}], got {k!r}")
+    else:
+        if not state["trees"]:
+            raise ValueError("state.trees must hold at least one tree")
+        for i, tree in enumerate(state["trees"]):
+            shape, split = tree["feature"].shape, tree["feature"] >= 0
+            if len(shape) != 1 or any(tree[name].shape != shape for name in _TREE_ARRAYS):
+                raise ValueError(f"state.trees[{i}]: the node lists must be flat, "
+                                 f"of one length")
+            if (tree["feature"] >= n_features).any():
+                raise ValueError(f"state.trees[{i}].feature must be below {n_features}")
+            node = np.flatnonzero(split)
+            for name in ("left", "right"):
+                child = tree[name][split]
+                if ((child <= node) | (child >= shape[0])).any():
+                    raise ValueError(f"state.trees[{i}].{name} must follow its "
+                                     f"node inside the tree")
+            if not np.isin(tree["vote"][~split], (0, 1)).all():
+                raise ValueError(f"state.trees[{i}].vote must be 0 or 1 at each leaf")
 
 
 def save_model(model: TrainedModel, path) -> None:
     """Persist as a self-describing, versioned JSON document."""
     state = _converted_state(model.spec.kind, model.state,
-                             lambda array, dtype: array.tolist())
+                             lambda array, dtype, field: array.tolist())
     document = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -572,12 +626,27 @@ def load_model(path) -> TrainedModel:
         spec = ClassifierSpec(kind=document["kind"],
                               hyperparameters=document["hyperparameters"],
                               seed=document["seed"])
-        state = _converted_state(spec.kind, document["state"], np.array)
         threshold, metadata = document["decision_threshold"], document["metadata"]
+        n_features = metadata.get("n_features") if isinstance(metadata, dict) else None
+        if type(n_features) is not int or n_features < 1:
+            raise ValueError(f"metadata.n_features must be a positive integer, "
+                             f"got {n_features!r}")
+        state = document["state"]
+        trees = state.get("trees", []) if isinstance(state, dict) else None
+        if not (isinstance(trees, list) and all(isinstance(tree, dict) for tree in trees)):
+            raise ValueError("state must be an object, and its trees a list of objects")
+        state = _converted_state(spec.kind, state, _loaded_array)
+        _check_state(spec.kind, state, n_features)
     except KeyError as exc:
         raise InputError(f"{path}: missing field {exc}") from exc
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     if threshold is not None:
-        threshold = float(threshold)
+        try:
+            threshold = float(threshold)
+        except (TypeError, ValueError):
+            raise InputError(f"{path}: decision_threshold must be a number, "
+                             f"got {threshold!r}") from None
         if math.isnan(threshold):
             raise InputError(f"{path}: decision_threshold is NaN")
     return TrainedModel(spec=spec, state=state, decision_threshold=threshold,

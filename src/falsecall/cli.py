@@ -297,13 +297,15 @@ def build_parser() -> _Parser:
                      description="Requirement-aware evaluation for "
                                  "false-call reduction classifiers")
     sub = parser.add_subparsers(dest="command", required=True)
+    targets = argparse.ArgumentParser(add_help=False)
+    targets.add_argument("--s-target", type=float, default=TargetSpec.s_target,
+                         dest="s_target")
+    targets.add_argument("--v-target", type=float, default=TargetSpec.v_target,
+                         dest="v_target")
 
-    p = sub.add_parser("evaluate", help="evaluate an exported score/label CSV")
+    p = sub.add_parser("evaluate", help="evaluate an exported score/label CSV",
+                       parents=[targets])
     p.add_argument("--scores", required=True, help="CSV with score,label[,timestamp]")
-    p.add_argument("--s-target", type=float, default=TargetSpec.s_target,
-                   dest="s_target")
-    p.add_argument("--v-target", type=float, default=TargetSpec.v_target,
-                   dest="v_target")
     p.add_argument("--threshold", type=float, default=None,
                    help="a-priori decision threshold, if one exists")
     p.add_argument("--slices-by-timestamp", type=int, default=None,
@@ -334,12 +336,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output path (.csv or .json)")
     p.set_defaults(func=cmd_drift)
 
-    p = sub.add_parser("surface", help="export the analytic metric surface")
+    p = sub.add_parser("surface", help="export the analytic metric surface",
+                       parents=[targets])
     p.add_argument("--prevalence", type=float, required=True)
-    p.add_argument("--s-target", type=float, default=TargetSpec.s_target,
-                   dest="s_target")
-    p.add_argument("--v-target", type=float, default=TargetSpec.v_target,
-                   dest="v_target")
     p.add_argument("--resolution", type=int, required=True)
     p.add_argument("--out", required=True, help="output path (.csv or .json)")
     p.set_defaults(func=cmd_surface)

@@ -266,9 +266,12 @@ def load_csv(path, timestamp_column: str = "timestamp",
             stamps.append(_parse_timestamp(row[col_of[timestamp_column]]))
         except IngestionError as exc:
             problems.append(f"line {line}: {exc}")
+        label = row[col_of[label_column]]
+        if not label:
+            problems.append(f"line {line}: empty label")
         rows.append(row)
         line_numbers.append(line)
-        raw_labels.append(row[col_of[label_column]])
+        raw_labels.append(label)
     _raise_problems(path, problems)
     n = len(rows)
     timestamps = np.array(stamps, dtype=float)

@@ -119,13 +119,6 @@ class RunResult:
     threshold_source: str
     undeployable: bool
 
-    def report_for(self, eval_set: str) -> MetricReport:
-        if eval_set == "test":
-            return self.test_report
-        if eval_set.startswith("slice"):
-            return self.slice_reports[int(eval_set[5:]) - 1]
-        raise InputError(f"unknown evaluation set {eval_set!r}")
-
 
 @dataclass
 class SeedAggregate:
@@ -206,7 +199,7 @@ def _propose_surrogate(space: HyperParamSpace, rng: np.random.Generator,
     forms the "good" set; 24 random candidates are ranked by the ratio of
     smoothed likelihoods under good versus remaining draws.
     """
-    if len(history) < 5 or not (space.int_ranges or space.choices):
+    if len(history) < 5:
         return space.sample(rng)
     ranked = sorted(range(len(history)),
                     key=lambda i: (-history[i].mean_performance, i))
@@ -262,8 +255,8 @@ def optimize_hyperparams(kind: str, space: HyperParamSpace,
     k_range = space.int_ranges.get("k")
     knn_votes: list[np.ndarray] = []
 
+    criterion = "youden" if regime == REGIME_STANDARD else "v_at_s"
     history: list[TrialResult] = []
-    best: Optional[TrialResult] = None
     for trial_index in range(budget):
         params = propose(space, rng, history)
         space.validate(params)
@@ -283,13 +276,9 @@ def optimize_hyperparams(kind: str, space: HyperParamSpace,
                     knn_votes.append(classifiers._knn_vote_table(model.state, val.X, k_max))
                 val_scores = knn_votes[fold_index][:, k - 1]
             curve = sweep_thresholds(val_scores, val.labels)
-            if regime == REGIME_STANDARD:
-                performances.append(auc_pr(val_scores, val.labels))
-                thresholds.append(best_youden(curve).threshold)
-            else:
-                performances.append(constrained_auc(curve, targets))
-                choice = select_threshold(curve, "v_at_s", targets)
-                thresholds.append(choice.threshold)
+            performances.append(auc_pr(val_scores, val.labels) if regime == REGIME_STANDARD
+                                else constrained_auc(curve, targets))
+            thresholds.append(select_threshold(curve, criterion, targets).threshold)
         finite = [t for t in thresholds if math.isfinite(t)]
         trial = TrialResult(
             spec=ClassifierSpec(kind=kind, hyperparameters=params,
@@ -301,9 +290,7 @@ def optimize_hyperparams(kind: str, space: HyperParamSpace,
                             else SENTINEL_THRESHOLD),
         )
         history.append(trial)
-        if best is None or trial.mean_performance > best.mean_performance:
-            best = trial
-    return best
+    return max(history, key=lambda trial: trial.mean_performance)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +489,8 @@ def run_multi_seed(config: ExperimentConfig, dataset: Dataset) -> dict:
             if reference_curve is None and run.test_report.curve is not None:
                 reference_curve = run.test_report.curve
                 reference_seed = seed
-            for name in EVAL_SETS:
-                report = run.report_for(name)
+            for name, report in zip(EVAL_SETS, [run.test_report, *run.slice_reports],
+                                    strict=True):
                 report.curve = None  # only the reference curve is kept
                 reports[name].append(report)
             if run.undeployable:

@@ -42,6 +42,13 @@ def _shown(value: Optional[float], missing: str = "n/a") -> str:
     return missing if value is None else f"{value:.3f}"
 
 
+def _csv_text(rows: list) -> str:
+    """The rows as CSV text, each line ended by ``\\n``."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
 def render_table(aggregates: dict) -> tuple[str, dict]:
     """One row per model per evaluation set; returns (csv_text, json_object).
 
@@ -50,9 +57,7 @@ def render_table(aggregates: dict) -> tuple[str, dict]:
     """
     if not aggregates:
         raise InputError("no aggregates to render")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["model", "eval_set", "n_seeds", *DEFAULT_COLUMNS])
+    csv_rows = [["model", "eval_set", "n_seeds", *DEFAULT_COLUMNS]]
     rows = []
     for kind, aggregate in aggregates.items():
         for eval_set in aggregate.reports:
@@ -62,12 +67,12 @@ def render_table(aggregates: dict) -> tuple[str, dict]:
                 mean, std, n = aggregate.mean_std(eval_set, key)
                 csv_row.append(_shown(mean) if mean is None else f"{mean:.3f}±{std:.3f}")
                 json_metrics[key] = {"mean": mean, "std": std, "n": n}
-            writer.writerow(csv_row)
+            csv_rows.append(csv_row)
             rows.append({"model": kind, "eval_set": eval_set,
                          "n_seeds": len(aggregate.seeds),
                          "seeds": list(aggregate.seeds),
                          "metrics": json_metrics})
-    return buffer.getvalue(), {"rows": rows, "columns": list(DEFAULT_COLUMNS)}
+    return _csv_text(csv_rows), {"rows": rows, "columns": list(DEFAULT_COLUMNS)}
 
 
 def export_curve(curve: OperatingCurve, targets: TargetSpec) -> dict:
@@ -91,10 +96,8 @@ def export_curve(curve: OperatingCurve, targets: TargetSpec) -> dict:
 
 def export_timeline(aggregates: dict) -> tuple[str, dict]:
     """Slip and volume-reduction series test, slice1..slice5 per model."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["model", "eval_set", "slip_mean", "slip_std",
-                     "volume_reduction_mean", "volume_reduction_std", "n_seeds"])
+    csv_rows = [["model", "eval_set", "slip_mean", "slip_std",
+                 "volume_reduction_mean", "volume_reduction_std", "n_seeds"]]
     models = {}
     for kind, aggregate in aggregates.items():
         series = []
@@ -102,13 +105,13 @@ def export_timeline(aggregates: dict) -> tuple[str, dict]:
             slip, volume = (dict(zip(("mean", "std", "n"),
                                      aggregate.mean_std(eval_set, key)))
                             for key in ("slip_rate", "volume_reduction"))
-            writer.writerow([kind, eval_set, _shown(slip["mean"]), _shown(slip["std"]),
+            csv_rows.append([kind, eval_set, _shown(slip["mean"]), _shown(slip["std"]),
                              _shown(volume["mean"]), _shown(volume["std"]),
                              len(aggregate.seeds)])
             series.append({"eval_set": eval_set, "slip_rate": slip,
                            "volume_reduction": volume})
         models[kind] = {"series": series, "n_seeds": len(aggregate.seeds)}
-    return buffer.getvalue(), {"models": models}
+    return _csv_text(csv_rows), {"models": models}
 
 
 def _surface_csv(surface: MetricSurface) -> str:
@@ -162,15 +165,13 @@ def render_reports(reports: dict, targets: TargetSpec,
     A threshold metric undefined for want of a threshold shows
     :data:`NO_THRESHOLD_MARK` rather than ``n/a``.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("eval_set",) + MetricReport.METRIC_KEYS)
+    csv_rows = [("eval_set",) + MetricReport.METRIC_KEYS]
     for eval_set, report in reports.items():
         unset = NO_THRESHOLD_MARK if report.threshold is None else "n/a"
-        writer.writerow([eval_set] + [
+        csv_rows.append([eval_set] + [
             _shown(report.metric(key), unset if key in _THRESHOLD_METRICS else "n/a")
             for key in MetricReport.METRIC_KEYS])
-    return buffer.getvalue(), {
+    return _csv_text(csv_rows), {
         "rows": [{"eval_set": eval_set, **report_to_json(report)}
                  for eval_set, report in reports.items()],
         "targets": asdict(targets), "threshold_supplied": threshold_supplied}

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -271,6 +272,72 @@ class TestHyperParamSpace:
         assert str(info.value) == f"knn: k={bounds} holds no odd value"
 
 
+PERSISTED_PARAMS = {DUMMY: {}, KNN: {"k": 3}, RANDOM_FOREST: {"n_trees": 2}}
+
+
+def _first_split(tree):
+    return next(i for i, feature in enumerate(tree["feature"]) if feature >= 0)
+
+
+def _set(document, value, *keys):
+    *parents, last = keys
+    for key in parents:
+        document = document[key]
+    document[last] = value
+
+
+#: Each case: a kind, an edit to its saved JSON, and the problem load_model
+#: names.  The models have 3 feature columns and 40 training rows.
+DAMAGED_MODELS = {
+    "no-n_features": (KNN, lambda d: _set(d, {}, "metadata"),
+                      "metadata.n_features must be a positive integer, got None"),
+    "zero-n_features": (DUMMY, lambda d: _set(d, 0, "metadata", "n_features"),
+                        "metadata.n_features must be a positive integer, got 0"),
+    "state-not-an-object": (DUMMY, lambda d: _set(d, [], "state"),
+                            "state must be an object, and its trees a list of objects"),
+    "majority-2": (DUMMY, lambda d: _set(d, 2, "state", "majority"),
+                   "state.majority must be 0 or 1"),
+    "knn-X-narrow": (KNN, lambda d: _set(d, [row[:1] for row in d["state"]["X"]],
+                                         "state", "X"),
+                     "state.X must have one row per state.y and 3 columns, "
+                     "got shape (40, 1)"),
+    "knn-X-ragged": (KNN, lambda d: d["state"]["X"][0].pop(),
+                     "state.X must be a list of numbers"),
+    "knn-y-2": (KNN, lambda d: _set(d, [2] * 40, "state", "y"),
+                "state.y must be a list of 0s and 1s"),
+    "knn-y-text": (KNN, lambda d: _set(d, ["1"] * 40, "state", "y"),
+                   "state.y must be a list of integers"),
+    "knn-k-0": (KNN, lambda d: _set(d, 0, "state", "k"),
+                "state.k must be an integer in [1, 40], got 0"),
+    "knn-k-above-rows": (KNN, lambda d: _set(d, 41, "state", "k"),
+                         "state.k must be an integer in [1, 40], got 41"),
+    "knn-std-short": (KNN, lambda d: d["state"]["std"].pop(),
+                      "state.std must hold 3 values"),
+    "no-trees": (RANDOM_FOREST, lambda d: _set(d, [], "state", "trees"),
+                 "state.trees must hold at least one tree"),
+    "tree-not-an-object": (RANDOM_FOREST, lambda d: _set(d, [1], "state", "trees"),
+                           "state must be an object, and its trees a list of objects"),
+    "decision_threshold-text": (DUMMY, lambda d: _set(d, "abc", "decision_threshold"),
+                                "decision_threshold must be a number, got 'abc'"),
+    "tree-threshold-text": (RANDOM_FOREST,
+                       lambda d: _set(d, "x", "state", "trees", 1, "threshold"),
+                       "state.trees[1].threshold must be a list of numbers"),
+    "vote-list-short": (RANDOM_FOREST, lambda d: d["state"]["trees"][1]["vote"].pop(),
+                        "state.trees[1]: the node lists must be flat, of one length"),
+    "child-99": (RANDOM_FOREST, lambda d: _set(
+        d, 99, "state", "trees", 0, "left", _first_split(d["state"]["trees"][0])),
+        "state.trees[0].left must follow its node inside the tree"),
+    "child-is-its-node": (RANDOM_FOREST, lambda d: _set(
+        d, 0, "state", "trees", 0, "right", 0),
+        "state.trees[0].right must follow its node inside the tree"),
+    "feature-7": (RANDOM_FOREST, lambda d: _set(
+        d, 7, "state", "trees", 0, "feature", _first_split(d["state"]["trees"][0])),
+        "state.trees[0].feature must be below 3"),
+    "leaf-vote-2": (RANDOM_FOREST, lambda d: _set(d, 2, "state", "trees", 0, "vote", -1),
+                    "state.trees[0].vote must be 0 or 1 at each leaf"),
+}
+
+
 class TestPersistence:
     @pytest.mark.parametrize("kind,params", [
         (DUMMY, {}),
@@ -329,6 +396,36 @@ class TestPersistence:
         with pytest.raises(InputError) as info:
             load_model(path)
         assert str(info.value).startswith(problem.format(path=path))
+
+    @pytest.mark.parametrize("kind, damage, problem", DAMAGED_MODELS.values(),
+                             ids=DAMAGED_MODELS.keys())
+    def test_damaged_field_named(self, tmp_path, kind, damage, problem):
+        train_m, _ = separable_matrices(n_train=40, n_test=4, seed=2)
+        path = tmp_path / "model.json"
+        save_model(train(ClassifierSpec(kind, PERSISTED_PARAMS[kind], seed=3), train_m),
+                   path)
+        document = json.loads(path.read_text())
+        damage(document)
+        path.write_text(json.dumps(document))
+        with pytest.raises(InputError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: {problem}"
+
+    def test_every_golden_model_loads_and_scores_the_same(self, tmp_path):
+        from tests.test_golden import FOREST_CASES, MATRICES
+        path = tmp_path / "model.json"
+        specs = [(ClassifierSpec(KNN, {"k": 7}, seed=11), "synthetic")]
+        for case in FOREST_CASES:
+            kind, mode, max_depth, min_leaf, data = case.split("-")
+            specs.append((ClassifierSpec(kind, {
+                "n_trees": 4, "feature_subsample": mode, "min_leaf": int(min_leaf),
+                "max_depth": None if max_depth == "None" else int(max_depth)},
+                seed=11), data))
+        for spec, data in specs:
+            matrix = MATRICES[data]()
+            model = train(spec, matrix)
+            save_model(model, path)
+            assert np.array_equal(score(load_model(path), matrix), score(model, matrix))
 
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "nope.json"

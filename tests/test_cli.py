@@ -9,7 +9,7 @@ import pytest
 from falsecall import cli, metrics
 from falsecall.cli import NO_THRESHOLD_MARK, main, parse_kv_text
 from falsecall.dataset import load_csv
-from falsecall.errors import IngestionError
+from falsecall.errors import FalseCallError, IngestionError
 
 TARGET_FLAGS = ["--s-target", "0.01", "--v-target", "0.40"]
 
@@ -152,6 +152,16 @@ class TestEvaluate:
         assert run_cli(["evaluate", "--scores", scores, *TARGET_FLAGS, *threshold,
                         "--slices-by-timestamp", "5", "--out", str(out)]) == 1
         assert "n_slices=5 exceeds the 3 rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_slices", ["1", "0"])
+    def test_fewer_than_two_slices_exits_one(self, tmp_path, capsys, n_slices):
+        scores = write_scores(tmp_path / "s.csv", ["0.9,1,0", "0.1,0,1", "0.3,0,2"],
+                              header="score,label,timestamp")
+        out = tmp_path / "out"
+        assert run_cli(["evaluate", "--scores", scores, *TARGET_FLAGS,
+                        "--slices-by-timestamp", n_slices, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: n_slices must be >= 2\n"
         assert not out.exists()
 
     def test_negative_infinite_threshold_keeps_its_sign(self, tmp_path):
@@ -341,15 +351,45 @@ class TestExperiment:
     @pytest.mark.parametrize("overrides, problem", [
         ({"models": "dummy, knn, dummy"}, "model kind 'dummy' is repeated"),
         ({"models": "knn", "space.knn.k": "2:2"}, "knn: k=(2, 2) holds no odd value"),
-    ], ids=["repeated-kind", "k-without-odd-value"])
-    def test_config_rejected_before_data_is_read(self, tmp_path, capsys, overrides,
-                                                  problem):
-        # The data file does not exist: reading it would fail differently.
-        config = experiment_config(tmp_path, data="csv", **overrides,
-                                   **{"csv.path": str(tmp_path / "absent.csv")})
+        ({"models": ""}, "at least one model kind is required"),
+        ({"k_folds": 1}, "k_folds must be >= 2"),
+        ({"n_seeds": 0}, "n_seeds must be >= 1"),
+        ({"data": "synthetic", "synthetic.n_rows": 1}, "n_rows must be >= 2"),
+        ({"data": "synthetic", "synthetic.n_features": 1}, "n_features must be >= 2"),
+        ({"data": "synthetic", "synthetic.windows": "0.5:0.4"},
+         "window (0.5, 0.4) must satisfy 0 <= start < end <= 1"),
+        ({"data": "synthetic", "synthetic.windows": "0:0.9"},
+         "cluster windows must cover the timestamp range"),
+    ], ids=["repeated-kind", "k-without-odd-value", "no-model-kind", "one-fold",
+            "no-seed", "one-synthetic-row", "one-synthetic-feature",
+            "reversed-window", "windows-short-of-the-range"])
+    def test_config_rejected_before_data_is_read(self, tmp_path, capsys, monkeypatch,
+                                                  overrides, problem):
+        # The data file does not exist and no synthetic data may be generated:
+        # reading or generating data would fail differently.
+        monkeypatch.setattr(cli, "generate_synthetic", unreachable)
+        config = experiment_config(tmp_path, **{
+            "data": "csv", "csv.path": str(tmp_path / "absent.csv"), **overrides})
         assert run_cli(["experiment", "--config", config,
                         "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {config}: {problem}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides, problem", [
+        ({"csv.positive_label": "c"}, "positive label 'c' never occurs"),
+        ({}, "label values ['a', 'b'] need positive_label mapping"),
+        ({"csv.positive_label": "a", "csv.categorical_columns": "x, nope"},
+         "categorical override names unknown columns ['nope']"),
+    ], ids=["positive-label-absent", "labels-need-mapping", "unknown-categorical-column"])
+    def test_unusable_csv_labels_or_columns_exit_one(self, tmp_path, capsys, overrides,
+                                                     problem):
+        data = tmp_path / "data.csv"
+        data.write_text("timestamp,x,label\n0,1,a\n1,2,b\n2,3,a\n")
+        config = experiment_config(tmp_path, data="csv",
+                                   **{"csv.path": str(data), **overrides})
+        assert run_cli(["experiment", "--config", config,
+                        "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {data}: {problem}\n"
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_exits_one(self, tmp_path):
@@ -529,6 +569,21 @@ class TestExitCodes:
 
     def test_unknown_subcommand_exits_one(self):
         assert run_cli(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("error, shown", [
+        (FalseCallError("broken invariant"), "internal error: broken invariant\n"),
+        (RuntimeError("unforeseen"), "RuntimeError: unforeseen\n"),
+    ], ids=["falsecall-error", "other-exception"])
+    def test_internal_errors_exit_two(self, tmp_path, capsys, monkeypatch, error, shown):
+        def failing(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_surface", failing)
+        assert run_cli(["surface", "--prevalence", "0.01", "--resolution", "3",
+                        "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(shown)
+        assert err.startswith("Traceback") == (type(error) is RuntimeError)
 
 
 class TestConfigText:

@@ -100,6 +100,19 @@ class TestLoadCsv:
             load_csv(path, timestamp_column="ts", label_column="label",
                      positive_label="a")
 
+    @pytest.mark.parametrize("positive_label, positive, negative", [
+        ("defect", "defect", "false call"), (None, "1", "0")], ids=["mapped", "0-1"])
+    def test_empty_label_reported_with_its_line(self, tmp_path, positive_label,
+                                                positive, negative):
+        path = tmp_path / "data.csv"
+        path.write_text(f"ts,x,label\n0,1,{positive}\n1,2,\nlater,3,{negative}\n"
+                        f"3,4,\n")
+        with pytest.raises(IngestionError) as info:
+            load_csv(path, timestamp_column="ts", positive_label=positive_label)
+        assert str(info.value) == (f"{path}: line 3: empty label; "
+                                   "line 4: unparseable timestamp 'later'; "
+                                   "line 5: empty label")
+
     def test_missing_numeric_reported_with_line_numbers(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("ts,x,label\n0,1,0\n1,,1\n2,3,0\n")

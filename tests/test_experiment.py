@@ -663,7 +663,8 @@ class TestEvaluateExternal:
         (["0.5,1"] * 5 + ["0.5,1,7", "0.5,1"], "line 7: expected 2 fields, got 3"),
         (["0.5,1"] * 7 + ["0.\udcff,1"],
          "'utf-8' codec can't decode byte 0xff in position 56: invalid start byte"),
-    ], ids=["field-count", "non-utf8"])
+        (["0.5,1"] * 5 + ["0.5,2", "0.5,1"], "line 7: label 2 not in {0, 1}"),
+    ], ids=["field-count", "non-utf8", "label-2"])
     def test_later_block_problems_keep_row_reader_messages(self, tmp_path, rows,
                                                            message):
         path = tmp_path / "scores.csv"

@@ -12,7 +12,8 @@ from falsecall.dataset import (SyntheticConfig, generate_synthetic,
                                one_hot_fit_transform, pca2d)
 from falsecall.errors import InputError
 from falsecall.experiment import (REGIME_STANDARD, ExperimentConfig,
-                                  run_multi_seed, score_report, verdict)
+                                  SeedAggregate, run_multi_seed, score_report,
+                                  verdict)
 from falsecall.metrics import SENTINEL_THRESHOLD, TargetSpec, metric_surface
 from falsecall.reporting import (DEFAULT_COLUMNS, build_bundle, dump_json,
                                  export_curve, export_surface,
@@ -72,6 +73,17 @@ class TestRenderTable:
                 mean_text, std_text = cell.split("±")
                 assert float(mean_text) == pytest.approx(entry["mean"], abs=5e-4)
                 assert float(std_text) == pytest.approx(entry["std"], abs=5e-4)
+
+    def test_metric_no_seed_defines_is_n_a(self):
+        # One class only: no slip rate and no curve, so no auc_pr.
+        report = score_report([0.2, 0.7], [0, 0], TARGETS, threshold=0.5)
+        aggregate = SeedAggregate(kind=DUMMY, seeds=(0, 1),
+                                  reports={"test": [report, report]})
+        table_csv, table_json = render_table({DUMMY: aggregate})
+        header, row = csv.reader(io.StringIO(table_csv))
+        assert [row[header.index(key)] for key in ("auc_pr", "slip_rate")] == ["n/a"] * 2
+        assert dump_json(table_json["rows"][0]["metrics"]["auc_pr"]) == (
+            '{\n  "mean": null,\n  "n": 0,\n  "std": null\n}\n')
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
