@@ -31,8 +31,8 @@ from .metrics import (SENTINEL_THRESHOLD, ConfusionCounts, MetricReport,
                       slip_rate, standard_metrics, volume_reduction,
                       youden_index)
 from .reporting import (ReportBundle, build_bundle, export_curve,
-                        export_surface, export_timeline, render_table,
-                        report_to_json, write_bundle)
+                        export_timeline, render_table, report_to_json,
+                        write_bundle, write_export)
 from .seeding import derive_seed, rng_for
 
 __version__ = "0.1.0"

@@ -83,6 +83,8 @@ class HyperParamSpace:
         for name, (lo, hi) in self.int_ranges.items():
             if name in self.odd_only and hi < lo + (lo % 2 == 0):
                 raise InputError(f"{self.kind}: {name}=({lo}, {hi}) holds no odd value")
+            if lo > hi:
+                raise InputError(f"{name}=({lo}, {hi}) needs low <= high")
 
     @classmethod
     def default(cls, kind: str) -> "HyperParamSpace":
@@ -109,7 +111,7 @@ class HyperParamSpace:
             if name in ranges:
                 lo, hi = bound
                 base_lo, base_hi = ranges[name]
-                if lo < base_lo or hi > base_hi or lo > hi:
+                if lo < base_lo or hi > base_hi:
                     raise InputError(
                         f"bounds {name}=({lo}, {hi}) leave the declared range")
                 ranges[name] = (int(lo), int(hi))
@@ -572,6 +574,11 @@ def _check_state(kind: str, state: dict, n_features: int) -> None:
         for name in ("mean", "std"):
             if state[name].shape != (n_features,):
                 raise ValueError(f"state.{name} must hold {n_features} values")
+        for name in ("X", "mean"):
+            if not np.isfinite(state[name]).all():
+                raise ValueError(f"state.{name} must hold finite numbers")
+        if not ((0 < state["std"]) & (state["std"] < np.inf)).all():
+            raise ValueError("state.std must hold positive finite numbers")
         if type(k) is not int or not 1 <= k <= len(y):
             raise ValueError(f"state.k must be an integer in [1, {len(y)}], got {k!r}")
     else:
@@ -584,6 +591,8 @@ def _check_state(kind: str, state: dict, n_features: int) -> None:
                                  f"of one length")
             if (tree["feature"] >= n_features).any():
                 raise ValueError(f"state.trees[{i}].feature must be below {n_features}")
+            if np.isnan(tree["threshold"]).any():  # a fit may store -inf, never NaN
+                raise ValueError(f"state.trees[{i}].threshold must not hold NaN")
             node = np.flatnonzero(split)
             for name in ("left", "right"):
                 child = tree[name][split]

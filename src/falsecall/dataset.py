@@ -245,12 +245,14 @@ def load_csv(path, timestamp_column: str = "timestamp",
     fails on it with line numbers, ``missing="impute"`` stores it as NaN for
     the encoder to fill from its fitted medians.  A ``nan`` or ``inf`` cell
     is rejected under either policy, and so is a file with no feature
-    columns.  Empty lines are skipped; line numbers in errors are the
-    file's own.
+    columns.  The timestamp and label columns must differ.  Empty lines are
+    skipped; line numbers in errors are the file's own.
     """
     if missing not in MISSING_POLICIES:
         raise InputError(f"missing policy must be "
                          f"{' or '.join(map(repr, MISSING_POLICIES))}, got {missing!r}")
+    if timestamp_column == label_column:
+        raise InputError(f"{path}: timestamp and label column are both {label_column!r}")
     problems: list[str] = []
     reader = _csv_rows(path, (timestamp_column, label_column), problems)
     header = next(reader)

@@ -72,14 +72,8 @@ class ExperimentConfig:
                 raise InputError(f"unknown classifier kind {kind!r}")
             if kind in self.model_kinds[:i]:
                 raise InputError(f"model kind {kind!r} is repeated")
-        if self.regime not in REGIMES:
-            raise InputError(f"regime must be one of {REGIMES}, got {self.regime!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise InputError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.budget < 1:
-            raise InputError("budget must be >= 1")
-        if self.k_folds < 2:
-            raise InputError("k_folds must be >= 2")
+            _check_search(kind, self.space_for(kind), self.regime, self.optimizer,
+                          self.budget, self.k_folds)
         if self.n_seeds < 1:
             raise InputError("n_seeds must be >= 1")
 
@@ -116,7 +110,6 @@ class RunResult:
     trial: TrialResult
     test_report: MetricReport
     slice_reports: list[MetricReport]
-    threshold_source: str
     undeployable: bool
 
 
@@ -223,6 +216,21 @@ def _propose_surrogate(space: HyperParamSpace, rng: np.random.Generator,
     return candidates[int(np.argmax(ratios))]
 
 
+def _check_search(kind: str, space: HyperParamSpace, regime: str, optimizer: str,
+                  budget: int, k_folds: int) -> None:
+    """Raise ``InputError`` for a search argument no search can run with."""
+    if space.kind != kind:
+        raise InputError(f"a {space.kind} search space cannot search {kind}")
+    if regime not in REGIMES:
+        raise InputError(f"regime must be one of {REGIMES}, got {regime!r}")
+    if optimizer not in OPTIMIZERS:
+        raise InputError(f"optimizer must be one of {OPTIMIZERS}")
+    if budget < 1:
+        raise InputError("budget must be >= 1")
+    if k_folds < 2:
+        raise InputError("k_folds must be >= 2")
+
+
 def optimize_hyperparams(kind: str, space: HyperParamSpace,
                          hyper_matrix: EncodedMatrix, regime: str,
                          targets: TargetSpec, budget: int, seed: int,
@@ -239,10 +247,7 @@ def optimize_hyperparams(kind: str, space: HyperParamSpace,
     earlier trial.  Fold rows are taken once for the call; kNN trials still
     train per fold, but score from one neighbour-vote table per fold.
     """
-    if regime not in REGIMES:
-        raise InputError(f"unknown regime {regime!r}")
-    if optimizer not in OPTIMIZERS:
-        raise InputError(f"optimizer must be one of {OPTIMIZERS}")
+    _check_search(kind, space, regime, optimizer, budget, k_folds)
     folds = [(hyper_matrix.take(train), hyper_matrix.take(val)) for train, val
              in stratified_kfold(hyper_matrix, k_folds, derive_seed(seed, "folds"))]
     rng = rng_for(seed, "optimizer")
@@ -337,8 +342,6 @@ def run_single_seed(config: ExperimentConfig, dataset: Dataset, kind: str,
         kind=kind, seed=seed, model=model, trial=trial,
         test_report=evaluate(plan.test_indices),
         slice_reports=[evaluate(idx) for idx in plan.slice_indices],
-        threshold_source=("majority_class" if kind == classifiers.DUMMY
-                          else "mean_fold"),
         undeployable=(kind != classifiers.DUMMY and not trial.deployable),
     )
 
@@ -380,7 +383,7 @@ def _claim(next_job) -> int:
 def _run_claimed(config: ExperimentConfig, dataset: Dataset, jobs: list,
                  next_job, index: int) -> dict:
     """Run ``jobs[index]`` and then each job claimed from ``next_job``, up to
-    the first that fails: {job: RunResult or error}.
+    the first that fails: {job: RunResult}, without the failed job.
 
     Jobs are claimed in order, so when one fails every earlier job is
     already claimed; the failure ends the claims of every process, as no
@@ -389,9 +392,8 @@ def _run_claimed(config: ExperimentConfig, dataset: Dataset, jobs: list,
     results = {}
     while index < len(jobs):
         try:
-            results[jobs[index]] = _run_job(config, dataset, *jobs[index])
-        except FalseCallError as exc:
-            results[jobs[index]] = exc
+            results[jobs[index]] = run_single_seed(config, dataset, *jobs[index])
+        except Exception:
             next_job.value = len(jobs)
             break
         index = _claim(next_job)
@@ -418,11 +420,9 @@ def _init_worker(config: ExperimentConfig, dataset: Dataset, jobs: list,
 
 
 def _worker_jobs() -> dict:
-    """A worker's completed RunResults; its failed job is left for the caller."""
+    """A worker's completed RunResults, from the jobs it claims."""
     config, dataset, jobs, next_job = _worker_setup
-    return {job: run for job, run
-            in _run_claimed(config, dataset, jobs, next_job, _claim(next_job)).items()
-            if isinstance(run, RunResult)}
+    return _run_claimed(config, dataset, jobs, next_job, _claim(next_job))
 
 
 def _pooled_results(config: ExperimentConfig, dataset: Dataset,
@@ -433,10 +433,10 @@ def _pooled_results(config: ExperimentConfig, dataset: Dataset,
     daemonic process, which may not start children; with P = 1 no pool
     starts and the result is empty.  The caller runs the first job; then
     each process claims the next unclaimed job whenever it is free, so the
-    work evens out however long each job takes.  The caller's failed job
-    maps to its error; a job a worker did not complete is missing from the
-    result.  Once a job fails or the caller is interrupted, nobody claims
-    another job, so the caller waits for at most one job per worker.
+    work evens out however long each job takes.  A job that no process
+    completed, whether it failed or was lost with its worker, is missing
+    from the result.  Once a job fails or the caller is interrupted, nobody
+    claims another job, so the caller waits for at most one job per worker.
     """
     n_procs = min(len(jobs), _cpu_count())
     if n_procs < 2:
@@ -481,11 +481,7 @@ def run_multi_seed(config: ExperimentConfig, dataset: Dataset) -> dict:
         reference_seed = None
         undeployable = []
         for seed in config.seeds:
-            run = results.pop((kind, seed), None)
-            if isinstance(run, FalseCallError):
-                raise run
-            if run is None:
-                run = _run_job(config, dataset, kind, seed)
+            run = results.pop((kind, seed), None) or _run_job(config, dataset, kind, seed)
             if reference_curve is None and run.test_report.curve is not None:
                 reference_curve = run.test_report.curve
                 reference_seed = seed

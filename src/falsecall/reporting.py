@@ -153,11 +153,6 @@ _EXPORT_FORMS = {MetricSurface: (_surface_csv, _surface_payload),
                  Pca2dResult: (_projection_csv, _projection_payload)}
 
 
-def export_surface(surface: MetricSurface) -> tuple[str, dict]:
-    """Flat cell listing of a metric surface, CSV and JSON."""
-    return _surface_csv(surface), _surface_payload(surface)
-
-
 def render_reports(reports: dict, targets: TargetSpec,
                    threshold_supplied: bool) -> tuple[str, dict]:
     """The ``evaluate`` table, one row per ``{eval_set: MetricReport}`` entry.

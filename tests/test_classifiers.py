@@ -256,6 +256,16 @@ class TestHyperParamSpace:
         with pytest.raises(InputError):
             space.narrowed(n_trees=(5, 30))
 
+    @pytest.mark.parametrize("make, bounds", [
+        (lambda: HyperParamSpace(RANDOM_FOREST, {"n_trees": (5, 2)}), (5, 2)),
+        (lambda: HyperParamSpace.default(RANDOM_FOREST).narrowed(n_trees=(20, 10)),
+         (20, 10)),
+    ], ids=["built", "narrowed"])
+    def test_reversed_range_rejected(self, make, bounds):
+        with pytest.raises(InputError) as info:
+            make()
+        assert str(info.value) == f"n_trees={bounds} needs low <= high"
+
     def test_validate_rejects_out_of_range(self):
         space = HyperParamSpace.default(KNN)
         with pytest.raises(InputError):
@@ -313,6 +323,14 @@ DAMAGED_MODELS = {
                          "state.k must be an integer in [1, 40], got 41"),
     "knn-std-short": (KNN, lambda d: d["state"]["std"].pop(),
                       "state.std must hold 3 values"),
+    "knn-X-nan": (KNN, lambda d: _set(d, math.nan, "state", "X", 0, 1),
+                  "state.X must hold finite numbers"),
+    "knn-mean-inf": (KNN, lambda d: _set(d, math.inf, "state", "mean", 2),
+                     "state.mean must hold finite numbers"),
+    "knn-std-0": (KNN, lambda d: _set(d, [0.0] * 3, "state", "std"),
+                  "state.std must hold positive finite numbers"),
+    "knn-std-inf": (KNN, lambda d: _set(d, math.inf, "state", "std", 0),
+                    "state.std must hold positive finite numbers"),
     "no-trees": (RANDOM_FOREST, lambda d: _set(d, [], "state", "trees"),
                  "state.trees must hold at least one tree"),
     "tree-not-an-object": (RANDOM_FOREST, lambda d: _set(d, [1], "state", "trees"),
@@ -335,6 +353,9 @@ DAMAGED_MODELS = {
         "state.trees[0].feature must be below 3"),
     "leaf-vote-2": (RANDOM_FOREST, lambda d: _set(d, 2, "state", "trees", 0, "vote", -1),
                     "state.trees[0].vote must be 0 or 1 at each leaf"),
+    "split-threshold-nan": (RANDOM_FOREST, lambda d: _set(
+        d, math.nan, "state", "trees", 0, "threshold", _first_split(d["state"]["trees"][0])),
+        "state.trees[0].threshold must not hold NaN"),
 }
 
 
@@ -410,6 +431,16 @@ class TestPersistence:
         with pytest.raises(InputError) as info:
             load_model(path)
         assert str(info.value) == f"{path}: {problem}"
+
+    def test_infinite_split_threshold_loads(self, tmp_path):
+        # The midpoint of -inf and a finite value is -inf, which a split keeps.
+        X = np.array([[-math.inf], [0.0], [1.0], [2.0]] * 5)
+        model = train(ClassifierSpec(RANDOM_FOREST, {"n_trees": 3}, seed=0),
+                      EncodedMatrix(X, np.array([0, 1, 1, 1] * 5), np.arange(20), ("x0",)))
+        assert any(-math.inf in tree["threshold"] for tree in model.state["trees"])
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert np.array_equal(score(load_model(path), X), score(model, X))
 
     def test_every_golden_model_loads_and_scores_the_same(self, tmp_path):
         from tests.test_golden import FOREST_CASES, MATRICES

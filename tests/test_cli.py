@@ -351,6 +351,8 @@ class TestExperiment:
     @pytest.mark.parametrize("overrides, problem", [
         ({"models": "dummy, knn, dummy"}, "model kind 'dummy' is repeated"),
         ({"models": "knn", "space.knn.k": "2:2"}, "knn: k=(2, 2) holds no odd value"),
+        ({"models": "random_forest", "space.forest.n_trees": "20:10"},
+         "n_trees=(20, 10) needs low <= high"),
         ({"models": ""}, "at least one model kind is required"),
         ({"k_folds": 1}, "k_folds must be >= 2"),
         ({"n_seeds": 0}, "n_seeds must be >= 1"),
@@ -360,8 +362,8 @@ class TestExperiment:
          "window (0.5, 0.4) must satisfy 0 <= start < end <= 1"),
         ({"data": "synthetic", "synthetic.windows": "0:0.9"},
          "cluster windows must cover the timestamp range"),
-    ], ids=["repeated-kind", "k-without-odd-value", "no-model-kind", "one-fold",
-            "no-seed", "one-synthetic-row", "one-synthetic-feature",
+    ], ids=["repeated-kind", "k-without-odd-value", "reversed-range", "no-model-kind",
+            "one-fold", "no-seed", "one-synthetic-row", "one-synthetic-feature",
             "reversed-window", "windows-short-of-the-range"])
     def test_config_rejected_before_data_is_read(self, tmp_path, capsys, monkeypatch,
                                                   overrides, problem):
@@ -380,7 +382,10 @@ class TestExperiment:
         ({}, "label values ['a', 'b'] need positive_label mapping"),
         ({"csv.positive_label": "a", "csv.categorical_columns": "x, nope"},
          "categorical override names unknown columns ['nope']"),
-    ], ids=["positive-label-absent", "labels-need-mapping", "unknown-categorical-column"])
+        ({"csv.positive_label": "a", "csv.timestamp_column": "label"},
+         "timestamp and label column are both 'label'"),
+    ], ids=["positive-label-absent", "labels-need-mapping", "unknown-categorical-column",
+            "timestamp-column-is-the-label-column"])
     def test_unusable_csv_labels_or_columns_exit_one(self, tmp_path, capsys, overrides,
                                                      problem):
         data = tmp_path / "data.csv"
@@ -554,6 +559,14 @@ class TestDrift:
         assert len(payload["rows"]) == 300
         assert {r["label"] for r in payload["rows"]} == {0, 1}
 
+
+    def test_timestamp_column_equal_to_label_column_exits_one(self, tmp_path, capsys):
+        data = self._generate(tmp_path, {"n_rows": 300, "prevalence": 0.2, "seed": 4})
+        assert run_cli(["drift", "--data", str(data), "--timestamp-column", "label",
+                        "--label-column", "label", "--out", str(tmp_path / "proj.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}: timestamp and label column are both 'label'\n")
+        assert not (tmp_path / "proj.csv").exists()
 
     def test_non_utf8_data_exits_one(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

@@ -52,6 +52,13 @@ class TestLoadCsv:
         assert ds.columns["f1"].tolist() == [1.5, 2.5, 1e-3]
         assert ds.columns["f2"].tolist() == [odd, "2", "3"]
 
+    def test_timestamp_column_must_not_be_the_label_column(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("timestamp,x,label\n0,1,0\n1,2,1\n")
+        with pytest.raises(InputError) as info:
+            load_csv(path, timestamp_column="label", label_column="label")
+        assert str(info.value) == f"{path}: timestamp and label column are both 'label'"
+
     def test_label_literal_mapping(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("ts,x,label\n0,1,false call\n1,2,defect\n2,3,false call\n")

@@ -244,6 +244,21 @@ class TestOptimizeHyperparams:
         assert len(taken) == 2 * 4
         assert sum(taken) == 4 * matrix.n_rows
 
+    @pytest.mark.parametrize("bad", [
+        {"regime": "bogus"}, {"optimizer": "bogus"}, {"budget": 0}, {"k_folds": 1},
+        {"space": HyperParamSpace.default(RANDOM_FOREST)},
+    ], ids=["regime", "optimizer", "budget-0", "k_folds-1", "space-of-another-kind"])
+    def test_search_rejects_what_the_config_rejects(self, bad):
+        kwargs = {"regime": REGIME_STANDARD, "optimizer": "random", "budget": 1,
+                  "k_folds": 2, **bad}
+        space = kwargs.pop("space", HyperParamSpace.default(KNN))
+        with pytest.raises(InputError) as by_config:
+            ExperimentConfig(model_kinds=(KNN,), spaces={KNN: space}, **kwargs)
+        with pytest.raises(InputError) as by_search:
+            optimize_hyperparams(KNN, space, self._hyper_matrix(), targets=TARGETS,
+                                 seed=0, **kwargs)
+        assert str(by_search.value) == str(by_config.value)
+
     def test_knn_space_without_k_range_searches_default_k(self):
         matrix = self._hyper_matrix()
         kwargs = dict(regime=REGIME_REQUIREMENT, targets=TARGETS, seed=4)
@@ -268,7 +283,7 @@ class TestRunSingleSeed:
         assert report.v_at_s == 0.0
         assert report.cv == pytest.approx(-0.99)
         assert report.cauc == -1.0
-        assert run.threshold_source == "majority_class"
+        assert run.model.decision_threshold == SENTINEL_THRESHOLD  # majority class 0
 
     def test_dummy_row_holds_in_standard_regime_too(self):
         config = ExperimentConfig(model_kinds=(DUMMY,), regime=REGIME_STANDARD,
@@ -392,6 +407,13 @@ def aggregate_facts(aggregates):
     return facts, dump_json(render_table(aggregates)[1])
 
 
+@pytest.fixture
+def forked_workers(monkeypatch):
+    """Fork the pool's workers, so that the test's patches reach them: a
+    forkserver worker (Python 3.14's default on Linux) imports falsecall afresh."""
+    monkeypatch.setattr(experiment, "_START_METHOD", "fork")
+
+
 def run_with_cpus(monkeypatch, cpus, config, ds):
     monkeypatch.setattr(experiment, "_cpu_count", lambda: cpus)
     return run_multi_seed(config, ds)
@@ -413,7 +435,7 @@ class TestJobPool:
     @pytest.mark.parametrize("cpus, n_seeds, expected", [
         (1, 3, 1), (2, 3, 2), (3, 3, 3), (8, 3, 3), (3, 1, 1)])
     def test_jobs_run_in_p_processes_with_the_caller_among_them(
-            self, monkeypatch, tmp_path, cpus, n_seeds, expected):
+            self, forked_workers, monkeypatch, tmp_path, cpus, n_seeds, expected):
         log = tmp_path / "pids"
         caller, children = os.getpid(), []
         real = experiment.run_single_seed
@@ -436,7 +458,8 @@ class TestJobPool:
         assert max(children) == expected - 1
 
     @pytest.mark.parametrize("failing_seed", [0, 1], ids=["in-caller", "in-worker"])
-    def test_failing_seed_raises_as_in_one_process(self, monkeypatch, failing_seed):
+    def test_failing_seed_raises_as_in_one_process(self, forked_workers, monkeypatch,
+                                                   failing_seed):
         real = experiment.run_single_seed
 
         def failing_run(config, dataset, kind, seed):
@@ -457,7 +480,7 @@ class TestJobPool:
         assert type(two.__cause__) is type(one.__cause__) is TwoArgumentError
         assert str(two.__cause__) == str(one.__cause__)
 
-    def test_a_free_process_takes_the_next_job(self, monkeypatch, tmp_path):
+    def test_a_free_process_takes_the_next_job(self, forked_workers, monkeypatch, tmp_path):
         # Seed 1 runs in the worker while the caller gets through the rest.
         log = tmp_path / "jobs"
         real = experiment.run_single_seed
@@ -476,7 +499,8 @@ class TestJobPool:
         assert {seed for seed, pid in ran.items() if pid == str(os.getpid())} == {
             "0", "2", "3"}
 
-    def test_a_failure_in_a_worker_ends_every_process_claims(self, monkeypatch, tmp_path):
+    def test_a_failure_in_a_worker_ends_every_process_claims(self, forked_workers,
+                                                             monkeypatch, tmp_path):
         log = tmp_path / "seeds"
         real = experiment.run_single_seed
 
@@ -496,7 +520,29 @@ class TestJobPool:
         assert sorted(log.read_text(encoding="utf-8").split()) == ["0", "1", "1"]
         assert multiprocessing.active_children() == []
 
-    def test_jobs_of_a_lost_worker_run_in_the_caller(self, monkeypatch):
+    def test_a_failure_in_the_caller_runs_again_there(self, forked_workers, monkeypatch,
+                                                      tmp_path):
+        # Seed 0 fails in the caller once the worker has claimed seed 1; the
+        # caller keeps no error, so it runs seed 0 again to raise it.
+        log = tmp_path / "seeds"
+        real = experiment.run_single_seed
+
+        def failing_run(config, dataset, kind, seed):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{seed}\n")
+            if seed == 0:
+                time.sleep(0.5)
+                raise TwoArgumentError(7, "disk full")
+            return real(config, dataset, kind, seed)
+
+        monkeypatch.setattr(experiment, "run_single_seed", failing_run)
+        config = dataclasses.replace(POOL_CONFIGS["knn"], n_seeds=2)
+        with pytest.raises(FalseCallError, match=r"^\[kind=knn seed=0\] 7: disk full$"):
+            run_with_cpus(monkeypatch, 2, config, pool_dataset())
+        assert sorted(log.read_text(encoding="utf-8").split()) == ["0", "0", "1"]
+        assert multiprocessing.active_children() == []
+
+    def test_jobs_of_a_lost_worker_run_in_the_caller(self, forked_workers, monkeypatch):
         caller = os.getpid()
         real = experiment.run_single_seed
 
@@ -527,6 +573,7 @@ class TestJobPool:
                   "    time.sleep(60)\n"
                   "experiment.run_single_seed = slow_run\n"
                   "experiment._cpu_count = lambda: 2\n"
+                  "experiment._START_METHOD = 'fork'\n"
                   "experiment.run_multi_seed(experiment.ExperimentConfig(n_seeds=2), None)\n")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         caller = subprocess.Popen([sys.executable, "-c", script], env=env,
@@ -562,6 +609,7 @@ class TestJobPool:
                   "    time.sleep(2)\n"
                   "experiment.run_single_seed = slow_run\n"
                   "experiment._cpu_count = lambda: 2\n"
+                  "experiment._START_METHOD = 'fork'\n"
                   "experiment.run_multi_seed(experiment.ExperimentConfig(n_seeds=6), None)\n")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         caller = subprocess.Popen([sys.executable, "-c", script], env=env, text=True,

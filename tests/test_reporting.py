@@ -16,8 +16,7 @@ from falsecall.experiment import (REGIME_STANDARD, ExperimentConfig,
                                   verdict)
 from falsecall.metrics import SENTINEL_THRESHOLD, TargetSpec, metric_surface
 from falsecall.reporting import (DEFAULT_COLUMNS, build_bundle, dump_json,
-                                 export_curve, export_surface,
-                                 export_timeline, render_table,
+                                 export_curve, export_timeline, render_table,
                                  report_to_json, write_bundle, write_export)
 from tests.test_experiment import dc_dataset
 
@@ -184,7 +183,9 @@ class TestExportTimeline:
 
 class TestExportSurface:
     def test_cells_and_corner(self):
-        surface_csv, surface_json = export_surface(metric_surface(0.01, 3, TARGETS))
+        surface = metric_surface(0.01, 3, TARGETS)
+        surface_csv, surface_json = (render(surface)
+                                     for render in reporting._EXPORT_FORMS[type(surface)])
         rows = list(csv.reader(io.StringIO(surface_csv)))
         assert len(rows) == 1 + 9
         corner = next(r for r in rows[1:] if r[0] == "0.000000" and r[1] == "1.000000")
