@@ -20,6 +20,15 @@ row and positive counts, and a child that will be a leaf is appended without
 selecting its rows.  Scoring walks all (tree, row) pairs of a chunk of rows
 together over the forest's joined node arrays; the votes are counted
 exactly, so every score equals applying the trees one at a time.
+
+kNN scoring finds each row's neighbours in two stages.  A filter computes
+the expanded distances ``‖a‖² + ‖b‖² − 2·a·b`` of a chunk of rows with one
+matrix product and keeps, for each row, the training rows that a
+proven error bound cannot rule out of its nearest; the exact squared
+distances, summed in ``ndarray.sum``'s order, are then computed for those
+candidates alone.  Every row left out is strictly farther than the
+neighbours that decide the score, so the scores are those of exact
+distances to every training row, bit for bit.
 """
 
 from __future__ import annotations
@@ -66,12 +75,27 @@ class ClassifierSpec:
             raise InputError(f"unknown classifier kind {self.kind!r}")
 
 
+#: Each kind's default search space: inclusive integer ranges, then choice
+#: options.  A space of that kind may hold these parameters and no others.
+_DEFAULT_SPACES = {
+    DUMMY: ({}, {}),
+    KNN: ({"k": (1, 51)}, {}),
+    RANDOM_FOREST: ({"n_trees": (10, 300), "max_depth": (2, 30), "min_leaf": (1, 20)},
+                    {"feature_subsample": ("sqrt", "log2", "all")}),
+}
+_DEFAULT_SPACES[BALANCED_RANDOM_FOREST] = _DEFAULT_SPACES[RANDOM_FOREST]
+#: Integer hyperparameters that ``train`` rejects below 1.
+_AT_LEAST_ONE = frozenset({"n_trees", "min_leaf", "k"})
+
+
 @dataclass(frozen=True)
 class HyperParamSpace:
     """Sampling ranges for one classifier kind.
 
-    ``int_ranges`` are inclusive bounds; parameters listed in ``odd_only``
-    are drawn from the odd values inside their range.
+    ``int_ranges`` are inclusive integer bounds; parameters listed in
+    ``odd_only`` are drawn from the odd values inside their range.  Each
+    parameter must be one the kind has, and ``n_trees``, ``min_leaf`` and
+    ``k`` ranges start at 1 or above.
     """
 
     kind: str
@@ -80,7 +104,23 @@ class HyperParamSpace:
     odd_only: frozenset = frozenset()
 
     def __post_init__(self):
-        for name, (lo, hi) in self.int_ranges.items():
+        if self.kind not in KINDS:
+            raise InputError(f"unknown classifier kind {self.kind!r}")
+        integers, options = _DEFAULT_SPACES[self.kind]
+        for group, names, known in (("integer", self.int_ranges, integers),
+                                    ("choice", self.choices, options),
+                                    ("integer", self.odd_only, self.int_ranges)):
+            for name in names:
+                if name not in known:
+                    raise InputError(f"{self.kind} has no {group} parameter {name!r}")
+        for name, bounds in self.int_ranges.items():
+            if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2 and all(
+                    isinstance(bound, (int, np.integer)) for bound in bounds)):
+                raise InputError(f"{self.kind}: {name}={bounds!r} needs integer "
+                                 f"bounds (low, high)")
+            lo, hi = bounds
+            if name in _AT_LEAST_ONE and lo < 1:
+                raise InputError(f"{self.kind}: {name}=({lo}, {hi}) needs low >= 1")
             if name in self.odd_only and hi < lo + (lo % 2 == 0):
                 raise InputError(f"{self.kind}: {name}=({lo}, {hi}) holds no odd value")
             if lo > hi:
@@ -88,16 +128,11 @@ class HyperParamSpace:
 
     @classmethod
     def default(cls, kind: str) -> "HyperParamSpace":
-        if kind == DUMMY:
-            return cls(kind=kind)
-        if kind == KNN:
-            return cls(kind=kind, int_ranges={"k": (1, 51)}, odd_only=frozenset({"k"}))
-        if kind in (RANDOM_FOREST, BALANCED_RANDOM_FOREST):
-            return cls(kind=kind,
-                       int_ranges={"n_trees": (10, 300), "max_depth": (2, 30),
-                                   "min_leaf": (1, 20)},
-                       choices={"feature_subsample": ("sqrt", "log2", "all")})
-        raise InputError(f"unknown classifier kind {kind!r}")
+        if kind not in KINDS:
+            raise InputError(f"unknown classifier kind {kind!r}")
+        int_ranges, choices = _DEFAULT_SPACES[kind]
+        return cls(kind=kind, int_ranges=dict(int_ranges), choices=dict(choices),
+                   odd_only=frozenset({"k"}) if kind == KNN else frozenset())
 
     def narrowed(self, **bounds) -> "HyperParamSpace":
         """Copy with tightened bounds, e.g. ``n_trees=(10, 60)``.
@@ -114,7 +149,7 @@ class HyperParamSpace:
                 if lo < base_lo or hi > base_hi:
                     raise InputError(
                         f"bounds {name}=({lo}, {hi}) leave the declared range")
-                ranges[name] = (int(lo), int(hi))
+                ranges[name] = (lo, hi)
             elif name in choices:
                 subset = tuple(bound)
                 unknown = set(subset) - set(choices[name])
@@ -359,6 +394,11 @@ def train(spec: ClassifierSpec, matrix: EncodedMatrix) -> TrainedModel:
         raise InputError(f"{spec.kind} training needs both classes, got counts {counts}")
     if X.shape[1] == 0:
         raise InputError(f"{spec.kind} training needs at least one feature column, got 0")
+    if spec.kind == KNN:
+        finite = np.isfinite(X).all(axis=0)
+        if not finite.all():
+            raise InputError(f"knn training needs finite features; column "
+                             f"{matrix.column_names[int(np.argmin(finite))]!r} is not")
     state = (_train_knn if spec.kind == KNN else _train_forest)(spec, X, y)
     return TrainedModel(spec=spec, state=state, metadata=metadata)
 
@@ -373,6 +413,10 @@ def _as_features(model: TrainedModel, rows: Union[EncodedMatrix, np.ndarray]) ->
         raise InputError(
             f"expected {model.metadata['n_features']} feature columns, "
             f"got shape {X.shape}")
+    missing = np.isnan(X).any(axis=1)
+    if missing.any():
+        raise InputError(f"row {int(np.argmax(missing))} holds NaN; only numbers "
+                         f"and +-inf can be scored")
     return X
 
 
@@ -437,8 +481,10 @@ def _forest_votes(trees: list, X: np.ndarray) -> np.ndarray:
     return votes
 
 
-#: Size of the float64 ``(n_features, rows, n_train)`` squared-difference
-#: temporary that one chunk of kNN scoring fills.
+#: Sets the query rows of one chunk of kNN scoring: as many as make the
+#: ``(n_features, rows, n_train)`` float64 array this size.  A chunk's
+#: squared differences fill that array only where every training row is a
+#: candidate; its ``(rows, n_train)`` expanded distances take 1/n_features.
 _KNN_CHUNK_BYTES = 4 << 20
 
 
@@ -472,6 +518,28 @@ def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
     return terms[0]
 
 
+def _expanded_distances(block: np.ndarray, features: np.ndarray,
+                        train_norms: np.ndarray, out: np.ndarray) -> tuple:
+    """``‖a‖² + ‖b‖² − 2·a·b`` for each row ``a`` of ``block`` and column ``b``
+    of ``features``, written into ``out``, and each row's slack.
+
+    The slack, ``(8F + 64)·eps·(‖a‖² + max ‖b‖²) + tiny`` for ``F``
+    features, is at least four times the farthest the value can lie from the
+    squared distance ``_pairwise_sum`` gives for the same pair, whatever
+    order the matrix product adds in; ``tiny`` covers underflow.  An
+    infinite or overflowing row gives an infinite slack, silently.
+    """
+    info = np.finfo(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = (block * block).sum(axis=1)
+        np.matmul(block, features, out=out)
+        out *= -2.0
+        out += train_norms
+        out += norms[:, None]
+        slack = (8 * len(features) + 64) * info.eps * (norms + train_norms.max()) + info.tiny
+    return out, slack
+
+
 def _knn_vote_table(state: dict, X: np.ndarray, k_max: int) -> np.ndarray:
     """Neighbour votes of each row of ``X`` for every ``k <= k_max``, shape (rows, k_max).
 
@@ -479,10 +547,29 @@ def _knn_vote_table(state: dict, X: np.ndarray, k_max: int) -> np.ndarray:
     training rows no farther than the k-th nearest, so rows tied with the
     k-th all vote.  Ties within the ``k_max`` nearest are counted among
     them; ties with the ``k_max``-th are counted over the whole row.  Rows
-    are scored in chunks of bounded memory.  A chunk's squared feature
-    differences are laid out feature-major, one ``(rows, n_train)`` plane
-    per feature, and summed plane by plane in ``ndarray.sum``'s order over
-    the feature axis, so each squared distance is bit-identical to
+    are scored in chunks of bounded memory, in two stages.
+
+    First a filter: one matrix product per chunk gives the expanded value
+    ``‖a‖² + ‖b‖² − 2·a·b`` of every (row, training row) pair.  It lies
+    within ``slack`` of the exact squared distance (``_expanded_distances``;
+    the float error of the product, the norms and the exact sum is at most
+    about ``(4F + 8)·u·(‖a‖² + ‖b‖²)`` for ``F`` features and ``u = 2⁻⁵³``,
+    Higham's γₙ bounds).  With ``kth`` a row's ``k_max``-th smallest
+    expanded value, the candidates are the training rows whose value is at
+    most ``kth + 2·slack``.  The ``k_max`` rows at or below ``kth`` are
+    exactly at most ``kth + slack`` away, so every row no farther than the
+    ``k_max``-th nearest is a candidate and every other row is strictly
+    farther: the edge, the tie counts and the votes are those of the whole
+    row, whatever rounding the product uses.  A row whose bound is not
+    finite (an infinite cell, or overflow far from the training data) keeps
+    every training row.  Each chunk keeps as many rows per query row as its
+    widest candidate set, those with the smallest expanded values; any kept
+    beyond a row's own candidates are strictly farther too.
+
+    Then the exact distances of the candidates alone: their squared feature
+    differences are laid out feature-major, one ``(rows, width)`` plane per
+    feature, and summed plane by plane in ``ndarray.sum``'s order over the
+    feature axis, so each squared distance is bit-identical to
     ``((row - Xt) ** 2).sum(axis=1)`` whatever the chunk, and every column
     to scoring with that ``k`` alone.
     """
@@ -491,19 +578,29 @@ def _knn_vote_table(state: dict, X: np.ndarray, k_max: int) -> np.ndarray:
     chunk = max(1, _KNN_CHUNK_BYTES // Xt.nbytes)
     ranks = np.arange(1, k_max + 1)
     table = np.empty((Xq.shape[0], k_max))
-    features = np.ascontiguousarray(Xt.T)[:, None, :]
-    squares = np.empty((Xt.shape[1], min(chunk, Xq.shape[0]), Xt.shape[0]))
+    features = np.ascontiguousarray(Xt.T)
+    train_norms = (Xt * Xt).sum(axis=1)
+    expanded = np.empty((min(chunk, Xq.shape[0]), Xt.shape[0]))
     for start in range(0, Xq.shape[0], chunk):
         block = Xq[start:start + chunk]
-        d = squares[:, :len(block)]
-        np.subtract(block.T[:, :, None], features, out=d)
+        approx, slack = _expanded_distances(block, features, train_norms,
+                                            expanded[:len(block)])
+        kth = np.partition(approx, k_max - 1, axis=1)[:, k_max - 1]
+        # A bound that is not finite keeps every training row: nothing
+        # compares greater than inf or NaN.
+        width = int((~(approx > (kth + 2 * slack)[:, None])).sum(axis=1).max())
+        candidates = np.argpartition(approx, width - 1, axis=1)[:, :width]
+        d = features[:, candidates]
+        np.subtract(block.T[:, :, None], d, out=d)
         np.multiply(d, d, out=d)
         d2 = _pairwise_sum(d)
+        votes = y[candidates]
         nearest = np.argpartition(d2, k_max - 1, axis=1)[:, :k_max]
         dist = np.take_along_axis(d2, nearest, axis=1)
         order = np.argsort(dist, axis=1, kind="stable")
         dist = np.take_along_axis(dist, order, axis=1)
-        positives = y[np.take_along_axis(nearest, order, axis=1)].cumsum(axis=1)
+        positives = np.take_along_axis(
+            votes, np.take_along_axis(nearest, order, axis=1), axis=1).cumsum(axis=1)
         # The k-neighbourhood ends with the last distance tied with the k-th.
         last_of_run = np.ones(dist.shape, dtype=bool)
         last_of_run[:, :-1] = dist[:, :-1] != dist[:, 1:]
@@ -514,7 +611,7 @@ def _knn_vote_table(state: dict, X: np.ndarray, k_max: int) -> np.ndarray:
         mask = d2 <= edge
         at_edge = dist == edge
         counts = np.where(at_edge, mask.sum(axis=1)[:, None], counts)
-        positives = np.where(at_edge, (mask @ y)[:, None], positives)
+        positives = np.where(at_edge, (mask * votes).sum(axis=1)[:, None], positives)
         table[start:start + chunk] = positives / counts
     return table
 

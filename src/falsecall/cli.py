@@ -206,7 +206,8 @@ def load_experiment_setup(path) -> tuple[ExperimentConfig, Dataset, dict]:
               for prefix, kinds in _SPACE_KINDS.items() if values[prefix]
               for kind in kinds}
     config = (_built(problems, ExperimentConfig, model_kinds=top.pop("models"),
-                     targets=targets or TargetSpec(), spaces=spaces, **top)
+                     targets=targets or TargetSpec(), **top,
+                     spaces={kind: space for kind, space in spaces.items() if space})
               if "models" in top else None)
     synthetic = (_built(problems, _synthetic_config, values["synthetic."])
                  if source == "synthetic"

@@ -67,6 +67,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.model_kinds:
             raise InputError("at least one model kind is required")
+        for kind, space in self.spaces.items():
+            if kind not in classifiers.KINDS:
+                raise InputError(f"spaces: unknown classifier kind {kind!r}")
+            if not isinstance(space, HyperParamSpace):
+                raise InputError(f"spaces[{kind!r}] must be a HyperParamSpace, "
+                                 f"got {type(space).__name__}")
         for i, kind in enumerate(self.model_kinds):
             if kind not in classifiers.KINDS:
                 raise InputError(f"unknown classifier kind {kind!r}")

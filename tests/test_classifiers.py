@@ -93,6 +93,15 @@ class TestKnn:
         assert np.allclose(score(base, queries),
                            score(moved, queries[:, permutation]), atol=1e-9)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_feature_rejected_naming_its_column(self, value):
+        X = np.arange(12, dtype=float).reshape(4, 3)
+        X[2, 1] = value
+        with pytest.raises(InputError) as info:
+            train(ClassifierSpec(KNN, {"k": 1}),
+                  EncodedMatrix(X, np.array([0, 1, 0, 1]), np.arange(4), ("x0", "x1", "x2")))
+        assert str(info.value) == "knn training needs finite features; column 'x1' is not"
+
     def test_k_larger_than_train_rejected(self):
         matrix = matrix_from_arrays(np.zeros((5, 2)), [0, 1, 0, 1, 0])
         with pytest.raises(InputError):
@@ -208,6 +217,28 @@ class TestBalancedForest:
         assert volume_at_target_slip(curve, TargetSpec()).value == 1.0
 
 
+@pytest.mark.parametrize("kind, params", [(DUMMY, {}), (KNN, {"k": 3}),
+                                           (RANDOM_FOREST, {"n_trees": 3})])
+class TestScoredRows:
+    def test_nan_cell_rejected_naming_the_first_row(self, kind, params):
+        train_matrix, test_matrix = separable_matrices(n_train=40, n_test=5)
+        model = train(ClassifierSpec(kind, params), train_matrix)
+        rows = test_matrix.X.copy()
+        rows[[3, 1], [2, 0]] = np.nan
+        with pytest.raises(InputError) as info:
+            score(model, rows)
+        assert str(info.value) == "row 1 holds NaN; only numbers and +-inf can be scored"
+
+    def test_infinite_cells_scored(self, kind, params):
+        train_matrix, test_matrix = separable_matrices(n_train=40, n_test=5)
+        model = train(ClassifierSpec(kind, params), train_matrix)
+        rows = test_matrix.X.copy()
+        rows[1, 0], rows[3, 2] = np.inf, -np.inf
+        scores = score(model, rows)
+        assert ((0 <= scores) & (scores <= 1)).all()
+        assert np.array_equal(scores[[0, 2, 4]], score(model, rows[[0, 2, 4]]))
+
+
 class TestClassify:
     def test_rule_matches_score_threshold(self):
         train_m, test_m = separable_matrices(seed=10)
@@ -280,6 +311,37 @@ class TestHyperParamSpace:
         with pytest.raises(InputError) as info:
             HyperParamSpace(KNN, {"k": bounds}, odd_only=frozenset({"k"}))
         assert str(info.value) == f"knn: k={bounds} holds no odd value"
+
+    @pytest.mark.parametrize("make, problem", [
+        (lambda: HyperParamSpace(KNN, {"bogus": (1, 3)}),
+         "knn has no integer parameter 'bogus'"),
+        (lambda: HyperParamSpace(RANDOM_FOREST, choices={"k": ("a",)}),
+         "random_forest has no choice parameter 'k'"),
+        (lambda: HyperParamSpace(KNN, {"k": (1, 5)}, odd_only=frozenset({"q"})),
+         "knn has no integer parameter 'q'"),
+        (lambda: HyperParamSpace(KNN, {"k": (1.5, 3.7)}),
+         "knn: k=(1.5, 3.7) needs integer bounds (low, high)"),
+        (lambda: HyperParamSpace.default(KNN).narrowed(k=(1.5, 3)),
+         "knn: k=(1.5, 3) needs integer bounds (low, high)"),
+        (lambda: HyperParamSpace(KNN, {"k": 5}), "knn: k=5 needs integer bounds (low, high)"),
+        (lambda: HyperParamSpace(KNN, {"k": (1, 3, 5)}),
+         "knn: k=(1, 3, 5) needs integer bounds (low, high)"),
+        (lambda: HyperParamSpace(RANDOM_FOREST, {"n_trees": (-5, 0)}),
+         "random_forest: n_trees=(-5, 0) needs low >= 1"),
+        (lambda: HyperParamSpace(BALANCED_RANDOM_FOREST, {"min_leaf": (0, 3)}),
+         "balanced_random_forest: min_leaf=(0, 3) needs low >= 1"),
+        (lambda: HyperParamSpace(KNN, {"k": (0, 3)}), "knn: k=(0, 3) needs low >= 1"),
+        (lambda: HyperParamSpace("bogus"), "unknown classifier kind 'bogus'"),
+    ], ids=["unknown", "unknown-choice", "unknown-odd", "float", "float-narrowed",
+            "not-a-pair", "three-bounds", "n_trees", "min_leaf", "k", "kind"])
+    def test_space_a_search_cannot_use_rejected(self, make, problem):
+        with pytest.raises(InputError) as info:
+            make()
+        assert str(info.value) == problem
+
+    def test_integer_bounds_of_any_integer_type_accepted(self):
+        space = HyperParamSpace(RANDOM_FOREST, {"max_depth": (np.int64(0), 3)})
+        assert 0 <= space.sample(np.random.default_rng(0))["max_depth"] <= 3
 
 
 PERSISTED_PARAMS = {DUMMY: {}, KNN: {"k": 3}, RANDOM_FOREST: {"n_trees": 2}}

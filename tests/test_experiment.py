@@ -259,6 +259,25 @@ class TestOptimizeHyperparams:
                                  seed=0, **kwargs)
         assert str(by_search.value) == str(by_config.value)
 
+    @pytest.mark.parametrize("spaces, problem", [
+        ({"bogus": HyperParamSpace.default(KNN)}, "spaces: unknown classifier kind 'bogus'"),
+        ({"bogus": 1}, "spaces: unknown classifier kind 'bogus'"),
+        ({KNN: "x"}, "spaces['knn'] must be a HyperParamSpace, got str"),
+        ({RANDOM_FOREST: None}, "spaces['random_forest'] must be a HyperParamSpace, "
+                                "got NoneType"),
+    ], ids=["unknown-kind", "unknown-kind-not-a-space", "not-a-space",
+            "not-a-space-of-a-kind-not-searched"])
+    def test_config_rejects_spaces_it_cannot_search(self, spaces, problem):
+        with pytest.raises(InputError) as info:
+            ExperimentConfig(model_kinds=(KNN,), spaces=spaces)
+        assert str(info.value) == problem
+
+    def test_config_keeps_spaces_of_kinds_it_does_not_search(self):
+        forest = HyperParamSpace.default(RANDOM_FOREST).narrowed(n_trees=(10, 12))
+        config = ExperimentConfig(model_kinds=(KNN,), spaces={RANDOM_FOREST: forest})
+        assert config.space_for(RANDOM_FOREST) is forest
+        assert config.space_for(KNN) == HyperParamSpace.default(KNN)
+
     def test_knn_space_without_k_range_searches_default_k(self):
         matrix = self._hyper_matrix()
         kwargs = dict(regime=REGIME_REQUIREMENT, targets=TARGETS, seed=4)

@@ -333,6 +333,113 @@ def test_vote_table_equals_reference_scorer_on_wide_rows(n_features):
         assert_bitwise_equal(table[:, k - 1], expected, f"k={k}")
 
 
+def assert_table_equals_reference(state, queries, k_max, chunk_rows=None):
+    """Every column of the vote table, bit for bit, in chunks of ``chunk_rows``."""
+    chunk_bytes = (classifiers._KNN_CHUNK_BYTES if chunk_rows is None
+                   else chunk_rows * state["X"].nbytes)
+    with mock.patch.object(classifiers, "_KNN_CHUNK_BYTES", chunk_bytes), \
+            np.errstate(over="ignore"):
+        table = _knn_vote_table(state, queries, k_max)
+        assert table.shape == (len(queries), k_max)
+        for k in range(1, k_max + 1):
+            expected = reference_score_knn({**state, "k": k}, queries)
+            assert_bitwise_equal(table[:, k - 1], expected, f"k={k}")
+
+
+@st.composite
+def float_knn_cases(draw):
+    """Free float rows of 5-12 features, so the distances reach
+    ``_pairwise_sum``'s eight running sums, as 10 columns do, with duplicate
+    training rows and chunks of one row up to the library's own size."""
+    n_features = draw(st.integers(5, 12))
+    values = st.floats(-1e3, 1e3, width=32) | st.floats(-10, 10)
+
+    def rows(n):
+        cells = draw(st.lists(values, min_size=n * n_features, max_size=n * n_features))
+        return np.array(cells, dtype=float).reshape(n, n_features)
+
+    X = rows(draw(st.integers(1, 40)))
+    X = np.vstack([X, X[draw(st.lists(st.integers(0, len(X) - 1), max_size=10))]])
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X))))
+    queries = rows(draw(st.integers(1, 30)))
+    k_max = draw(st.just(len(X)) | st.integers(1, len(X)))
+    return X, y, queries, k_max, draw(st.integers(1, 8) | st.none())
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(float_knn_cases())
+def test_vote_table_equals_reference_scorer_on_float_rows(case):
+    X, y, queries, k_max, chunk_rows = case
+    state = _train_knn(ClassifierSpec(KNN, {"k": 1}), X, y)
+    assert_table_equals_reference(state, queries, k_max, chunk_rows)
+
+
+@pytest.mark.parametrize("distance", [1e4, 1e50, 1e150, 1e154, 1e155, 1e200])
+def test_vote_table_equals_reference_scorer_far_from_the_training_rows(distance):
+    # Query rows ``distance`` standardised units from the training rows, in
+    # random directions and along one axis, among rows near them.  From
+    # about 1e154 units the squared distances overflow to inf, and all tie.
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((300, 10))
+    y = (rng.random(300) < 0.3).astype(np.int64)
+    state = _train_knn(ClassifierSpec(KNN, {"k": 1}), X, y)
+    directions = np.vstack([rng.standard_normal((12, 10)), np.eye(10)[:4]])
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    far = state["mean"] + distance * directions * state["std"]
+    queries = np.vstack([far, X[:5] + 0.1, far[:3] + X[:3]])
+    assert_table_equals_reference(state, queries, 31, chunk_rows=6)
+
+
+def test_vote_table_equals_reference_scorer_on_tied_levels_and_infinite_cells():
+    # Four binary features give 16 distinct rows among 300, so most
+    # distances tie; every seventh and eleventh query row holds an infinite
+    # cell, whose distances are all inf.
+    rng = np.random.default_rng(8)
+    X = rng.integers(0, 2, (300, 4)).astype(float)
+    y = (rng.random(300) < 0.2).astype(np.int64)
+    queries = rng.integers(0, 2, (60, 4)).astype(float)
+    queries[::7, 1] = np.inf
+    queries[3::11, 2] = -np.inf
+    state = _train_knn(ClassifierSpec(KNN, {"k": 1}), X, y)
+    assert_table_equals_reference(state, queries, 51, chunk_rows=7)
+
+
+@pytest.mark.parametrize("push", ["random", "alternating"])
+@pytest.mark.parametrize("data", ["levels", "floats"])
+def test_vote_table_holds_when_expanded_distances_move_within_their_slack(data, push):
+    # The filter needs only that each expanded distance lies within its
+    # slack of the exact one, so the table must not change when every one
+    # moves, whatever the product's rounding was.  On integer levels with
+    # mean 0 and spread 1 the expanded distances are exact, and they move by
+    # up to their whole slack (less 1 % for the rounding of the move itself);
+    # on floats rounding may take a quarter of it, and they move by up to
+    # 74 %.  ``alternating`` moves neighbouring training rows, tied ones
+    # too, in opposite directions by the most allowed.
+    rng = np.random.default_rng(12)
+    y = (rng.random(400) < 0.3).astype(np.int64)
+    if data == "levels":
+        X = rng.integers(0, 3, (400, 6)).astype(float)
+        queries = rng.integers(0, 3, (50, 6)).astype(float)
+        state, share = {"mean": np.zeros(6), "std": np.ones(6), "X": X, "y": y}, 0.99
+    else:
+        X = rng.standard_normal((400, 6))
+        queries = np.vstack([rng.standard_normal((40, 6)), X[:10]])
+        state, share = _train_knn(ClassifierSpec(KNN, {"k": 1}), X, y), 0.74
+    expanded = classifiers._expanded_distances
+
+    def moved(block, features, train_norms, out):
+        approx, slack = expanded(block, features, train_norms, out)
+        if push == "random":
+            sign = rng.uniform(-1, 1, approx.shape)
+        else:
+            sign = np.where(np.arange(approx.shape[1]) % 2, 1.0, -1.0)
+        approx += share * sign * slack[:, None]
+        return approx, slack
+
+    with mock.patch.object(classifiers, "_expanded_distances", moved):
+        assert_table_equals_reference(state, queries, 41, chunk_rows=9)
+
+
 def _tied_matrix(n=360, seed=7):
     """Three-level features shifted by the label: many tied distances."""
     rng = np.random.default_rng(seed)
