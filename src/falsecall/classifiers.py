@@ -25,10 +25,9 @@ kNN scoring finds each row's neighbours in two stages.  A filter computes
 the expanded distances ``‖a‖² + ‖b‖² − 2·a·b`` of a chunk of rows with one
 matrix product and keeps, for each row, the training rows that a
 proven error bound cannot rule out of its nearest; the exact squared
-distances, summed in ``ndarray.sum``'s order, are then computed for those
-candidates alone.  Every row left out is strictly farther than the
-neighbours that decide the score, so the scores are those of exact
-distances to every training row, bit for bit.
+distances are then computed for those candidates alone.  Every row left out
+is strictly farther than the neighbours that decide the score, so the scores
+are those of exact distances to every training row, bit for bit.
 """
 
 from __future__ import annotations
@@ -88,6 +87,11 @@ _DEFAULT_SPACES[BALANCED_RANDOM_FOREST] = _DEFAULT_SPACES[RANDOM_FOREST]
 _AT_LEAST_ONE = frozenset({"n_trees", "min_leaf", "k"})
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class HyperParamSpace:
     """Sampling ranges for one classifier kind.
@@ -114,8 +118,8 @@ class HyperParamSpace:
                 if name not in known:
                     raise InputError(f"{self.kind} has no {group} parameter {name!r}")
         for name, bounds in self.int_ranges.items():
-            if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2 and all(
-                    isinstance(bound, (int, np.integer)) for bound in bounds)):
+            if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2
+                    and all(map(_is_integer, bounds))):
                 raise InputError(f"{self.kind}: {name}={bounds!r} needs integer "
                                  f"bounds (low, high)")
             lo, hi = bounds
@@ -137,30 +141,31 @@ class HyperParamSpace:
     def narrowed(self, **bounds) -> "HyperParamSpace":
         """Copy with tightened bounds, e.g. ``n_trees=(10, 60)``.
 
-        Integer parameters take an inclusive (low, high) pair; choice
-        parameters take a subset of their declared options.
+        Integer parameters take an inclusive (low, high) pair inside their
+        declared range; choice parameters take a tuple or list of their
+        declared options.
         """
         ranges = dict(self.int_ranges)
         choices = dict(self.choices)
         for name, bound in bounds.items():
             if name in ranges:
-                lo, hi = bound
-                base_lo, base_hi = ranges[name]
-                if lo < base_lo or hi > base_hi:
-                    raise InputError(
-                        f"bounds {name}=({lo}, {hi}) leave the declared range")
-                ranges[name] = (lo, hi)
+                ranges[name] = bound
             elif name in choices:
-                subset = tuple(bound)
-                unknown = set(subset) - set(choices[name])
-                if not subset or unknown:
+                if not (isinstance(bound, (tuple, list)) and bound
+                        and all(option in choices[name] for option in bound)):
                     raise InputError(
-                        f"choices {name}={subset} leave the declared options")
-                choices[name] = subset
+                        f"choices {name}={bound!r} leave the declared options")
+                choices[name] = tuple(bound)
             else:
                 raise InputError(f"{self.kind} has no parameter {name!r}")
-        return HyperParamSpace(kind=self.kind, int_ranges=ranges,
-                               choices=choices, odd_only=self.odd_only)
+        # Built first, so that each bound's shape is checked before its range.
+        space = HyperParamSpace(kind=self.kind, int_ranges=ranges,
+                                choices=choices, odd_only=self.odd_only)
+        for name, (lo, hi) in space.int_ranges.items():
+            base_lo, base_hi = self.int_ranges[name]
+            if lo < base_lo or hi > base_hi:
+                raise InputError(f"bounds {name}=({lo}, {hi}) leave the declared range")
+        return space
 
     def sample(self, rng: np.random.Generator) -> dict:
         params = {}
@@ -185,6 +190,8 @@ class HyperParamSpace:
             if name not in params:
                 raise InputError(f"{self.kind}: missing hyperparameter {name!r}")
             value = params[name]
+            if not _is_integer(value):
+                raise InputError(f"{self.kind}: {name}={value!r} must be an integer")
             if not lo <= value <= hi:
                 raise InputError(f"{self.kind}: {name}={value} outside [{lo}, {hi}]")
             if name in self.odd_only and value % 2 == 0:
@@ -482,40 +489,10 @@ def _forest_votes(trees: list, X: np.ndarray) -> np.ndarray:
 
 
 #: Sets the query rows of one chunk of kNN scoring: as many as make the
-#: ``(n_features, rows, n_train)`` float64 array this size.  A chunk's
+#: ``(rows, n_train, n_features)`` float64 array this size.  A chunk's
 #: squared differences fill that array only where every training row is a
 #: candidate; its ``(rows, n_train)`` expanded distances take 1/n_features.
 _KNN_CHUNK_BYTES = 4 << 20
-
-
-def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum ``terms``, at least one, over its leading axis in place; returns ``terms[0]``.
-
-    The terms are added in the order ``ndarray.sum`` adds a contiguous axis
-    of that length (numpy's pairwise summation), so the result is
-    bit-identical to summing the same values laid out along the last axis:
-    under 8 terms in sequence; up to 128 with 8 running sums combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and then the remainder; above
-    that, the two halves split at a multiple of 8, each summed this way.
-    """
-    n = len(terms)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        _pairwise_sum(terms[:half])
-        terms[0] += _pairwise_sum(terms[half:])
-        return terms[0]
-    if n < 8:
-        tail = 1
-    else:
-        tail = n - n % 8
-        for start in range(8, tail, 8):
-            terms[:8] += terms[start:start + 8]
-        terms[0:8:2] += terms[1:8:2]
-        terms[0:8:4] += terms[2:8:4]
-        terms[0] += terms[4]
-    for i in range(tail, n):
-        terms[0] += terms[i]
-    return terms[0]
 
 
 def _expanded_distances(block: np.ndarray, features: np.ndarray,
@@ -525,9 +502,9 @@ def _expanded_distances(block: np.ndarray, features: np.ndarray,
 
     The slack, ``(8F + 64)·eps·(‖a‖² + max ‖b‖²) + tiny`` for ``F``
     features, is at least four times the farthest the value can lie from the
-    squared distance ``_pairwise_sum`` gives for the same pair, whatever
-    order the matrix product adds in; ``tiny`` covers underflow.  An
-    infinite or overflowing row gives an infinite slack, silently.
+    exact squared distance of the same pair, whatever order the matrix
+    product adds in; ``tiny`` covers underflow.  An infinite or overflowing
+    row gives an infinite slack, silently.
     """
     info = np.finfo(float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -566,12 +543,9 @@ def _knn_vote_table(state: dict, X: np.ndarray, k_max: int) -> np.ndarray:
     widest candidate set, those with the smallest expanded values; any kept
     beyond a row's own candidates are strictly farther too.
 
-    Then the exact distances of the candidates alone: their squared feature
-    differences are laid out feature-major, one ``(rows, width)`` plane per
-    feature, and summed plane by plane in ``ndarray.sum``'s order over the
-    feature axis, so each squared distance is bit-identical to
-    ``((row - Xt) ** 2).sum(axis=1)`` whatever the chunk, and every column
-    to scoring with that ``k`` alone.
+    Then the exact squared distances of the candidates alone, summed over
+    the last axis as ``((row - Xt) ** 2).sum(axis=1)`` sums them, so every
+    column is bit-identical to scoring with that ``k`` alone.
     """
     Xq = (X - state["mean"]) / state["std"]
     Xt, y = state["X"], state["y"]
@@ -590,10 +564,10 @@ def _knn_vote_table(state: dict, X: np.ndarray, k_max: int) -> np.ndarray:
         # compares greater than inf or NaN.
         width = int((~(approx > (kth + 2 * slack)[:, None])).sum(axis=1).max())
         candidates = np.argpartition(approx, width - 1, axis=1)[:, :width]
-        d = features[:, candidates]
-        np.subtract(block.T[:, :, None], d, out=d)
+        d = Xt[candidates]
+        np.subtract(block[:, None, :], d, out=d)
         np.multiply(d, d, out=d)
-        d2 = _pairwise_sum(d)
+        d2 = d.sum(axis=2)
         votes = y[candidates]
         nearest = np.argpartition(d2, k_max - 1, axis=1)[:, :k_max]
         dist = np.take_along_axis(d2, nearest, axis=1)

@@ -540,12 +540,12 @@ def evaluate_external(path, targets: TargetSpec,
     ``n_slices`` and a timestamp column, rows are also cut chronologically
     into that many contiguous slices and reported per slice.
     """
+    if n_slices is not None and n_slices < 2:
+        raise InputError("n_slices must be >= 2")
     scores, labels, stamps = read_scores_csv(path)
     report = score_report(scores, labels, targets, threshold=threshold)
     slice_reports = None
     if n_slices is not None:
-        if n_slices < 2:
-            raise InputError("n_slices must be >= 2")
         if stamps is None:
             raise InputError("slice-wise evaluation needs a timestamp column")
         if n_slices > scores.size:

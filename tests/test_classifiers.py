@@ -332,16 +332,30 @@ class TestHyperParamSpace:
          "balanced_random_forest: min_leaf=(0, 3) needs low >= 1"),
         (lambda: HyperParamSpace(KNN, {"k": (0, 3)}), "knn: k=(0, 3) needs low >= 1"),
         (lambda: HyperParamSpace("bogus"), "unknown classifier kind 'bogus'"),
+        (lambda: HyperParamSpace.default(KNN).narrowed(k=5),
+         "knn: k=5 needs integer bounds (low, high)"),
+        (lambda: HyperParamSpace.default(KNN).narrowed(k=(1, 3, 5)),
+         "knn: k=(1, 3, 5) needs integer bounds (low, high)"),
+        (lambda: HyperParamSpace.default(RANDOM_FOREST).narrowed(feature_subsample=5),
+         "choices feature_subsample=5 leave the declared options"),
     ], ids=["unknown", "unknown-choice", "unknown-odd", "float", "float-narrowed",
-            "not-a-pair", "three-bounds", "n_trees", "min_leaf", "k", "kind"])
+            "not-a-pair", "three-bounds", "n_trees", "min_leaf", "k", "kind",
+            "narrowed-not-a-pair", "narrowed-three-bounds", "narrowed-not-options"])
     def test_space_a_search_cannot_use_rejected(self, make, problem):
         with pytest.raises(InputError) as info:
             make()
         assert str(info.value) == problem
 
+    @pytest.mark.parametrize("value", [3.5, True, "3", None])
+    def test_validate_rejects_a_value_that_is_not_an_integer(self, value):
+        with pytest.raises(InputError) as info:
+            HyperParamSpace.default(KNN).validate({"k": value})
+        assert str(info.value) == f"knn: k={value!r} must be an integer"
+
     def test_integer_bounds_of_any_integer_type_accepted(self):
         space = HyperParamSpace(RANDOM_FOREST, {"max_depth": (np.int64(0), 3)})
         assert 0 <= space.sample(np.random.default_rng(0))["max_depth"] <= 3
+        HyperParamSpace.default(KNN).validate({"k": np.int64(3)})
 
 
 PERSISTED_PARAMS = {DUMMY: {}, KNN: {"k": 3}, RANDOM_FOREST: {"n_trees": 2}}

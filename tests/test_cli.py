@@ -164,6 +164,14 @@ class TestEvaluate:
         assert capsys.readouterr().err == "error: n_slices must be >= 2\n"
         assert not out.exists()
 
+    def test_slice_count_checked_before_the_score_file_is_read(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["evaluate", "--scores", str(tmp_path / "missing.csv"),
+                        *TARGET_FLAGS, "--slices-by-timestamp", "1",
+                        "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: n_slices must be >= 2\n"
+        assert not out.exists()
+
     def test_negative_infinite_threshold_keeps_its_sign(self, tmp_path):
         scores = write_scores(tmp_path / "s.csv", ["0.9,1", "0.1,0", "0.3,0"])
         out = tmp_path / "out"

@@ -3,12 +3,11 @@
 score_report's curve metrics are checked against brute force, the ranking
 behind them against the stable argsort in ``reference_ranking``, forest
 training against the per-node argsort grower and forest scoring against the
-per-tree loop in ``reference_forest``, the kNN neighbour-vote table and
-search against the one-``k`` scorer in ``reference_knn``, and the summation
-behind kNN distances against ``ndarray.sum``.  The config and score-file
-readers are fed near-miss keys, malformed values and arbitrary bytes: they
-must either succeed or raise ``InputError``, and the block reader of score
-files must match the row reader's arrays or message.
+per-tree loop in ``reference_forest``, and the kNN neighbour-vote table and
+search against the one-``k`` scorer in ``reference_knn``.  The config and
+score-file readers are fed near-miss keys, malformed values and arbitrary
+bytes: they must either succeed or raise ``InputError``, and the block reader
+of score files must match the row reader's arrays or message.
 ``reporting.dump_json`` must give the bytes of the indented ``json.dumps``,
 also of curve points held as columns.
 """
@@ -24,8 +23,8 @@ from falsecall import classifiers, dataset, experiment
 from falsecall.classifiers import (_TREE_ARRAYS, BALANCED_RANDOM_FOREST, KNN,
                                    RANDOM_FOREST, ClassifierSpec,
                                    HyperParamSpace, TrainedModel,
-                                   _knn_vote_table, _pairwise_sum,
-                                   _train_forest, _train_knn, score)
+                                   _knn_vote_table, _train_forest,
+                                   _train_knn, score)
 from falsecall.cli import load_experiment_setup
 from falsecall.curves import (_Ranking, _ranked, auc_pr, select_threshold,
                               sweep_thresholds)
@@ -295,22 +294,6 @@ def test_vote_table_spans_chunks_at_its_own_size():
         assert_bitwise_equal(table[:, k - 1], expected, f"k={k}")
 
 
-@st.composite
-def summands(draw):
-    """1-300 terms of two values each, of either sign and magnitudes 1e-8 to 1e8."""
-    n = draw(st.integers(1, 300))
-    exponents = draw(st.lists(st.floats(-8, 8), min_size=2 * n, max_size=2 * n))
-    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=2 * n, max_size=2 * n))
-    return (np.array(signs) * 10.0 ** np.array(exponents)).reshape(n, 2)
-
-
-@hypothesis.settings(max_examples=200, deadline=None)
-@hypothesis.given(summands())
-def test_pairwise_sum_adds_in_the_order_of_ndarray_sum(terms):
-    expected = np.stack(list(terms), axis=-1).sum(axis=-1)
-    assert_bitwise_equal(_pairwise_sum(terms.copy()), expected, f"{len(terms)} terms")
-
-
 @pytest.mark.parametrize("n_features", [8, 9, 16, 128, 129, 200])
 def test_vote_table_equals_reference_scorer_on_wide_rows(n_features):
     # The training rows are every cyclic shift of two random vectors, so all
@@ -348,8 +331,8 @@ def assert_table_equals_reference(state, queries, k_max, chunk_rows=None):
 
 @st.composite
 def float_knn_cases(draw):
-    """Free float rows of 5-12 features, so the distances reach
-    ``_pairwise_sum``'s eight running sums, as 10 columns do, with duplicate
+    """Free float rows of 5-12 features, so the distances cross
+    ``ndarray.sum``'s 8-term block, as 10 columns do, with duplicate
     training rows and chunks of one row up to the library's own size."""
     n_features = draw(st.integers(5, 12))
     values = st.floats(-1e3, 1e3, width=32) | st.floats(-10, 10)
